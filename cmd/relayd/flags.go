@@ -63,7 +63,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.listen, "listen", "0.0.0.0:5006", "unicast address subscribers lease from")
 	fs.UintVar(&o.channel, "channel", 0, "restrict to one channel id (0 = any)")
 	fs.IntVar(&o.shards, "shards", relay.DefaultShards, "subscriber table shards")
-	fs.IntVar(&o.queue, "queue", relay.DefaultQueueLen, "per-subscriber queue length (packets)")
+	fs.IntVar(&o.queue, "queue", relay.DefaultQueueLen, "lag window: packets a live subscriber may fall behind the stream before it is skipped forward (counted as queue-full drops)")
 	fs.IntVar(&o.maxSubs, "max-subscribers", relay.DefaultMaxSubscribers, "subscriber table capacity")
 	fs.DurationVar(&o.maxLease, "max-lease", relay.DefaultMaxLease, "longest grantable lease")
 	fs.IntVar(&o.batch, "batch", relay.DefaultBatch, "fan-out batch size in datagrams (1 = unbatched)")
@@ -81,8 +81,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.ladderDownDrops, "ladder-down-drops", relay.DefaultLadderDownDrops, "queue drops per sweep that push a subscriber one ladder tier down (with -ladder)")
 	fs.DurationVar(&o.ladderDwell, "ladder-dwell", relay.DefaultLadderDwell, "drop-free dwell before a downgraded subscriber climbs one tier back (with -ladder)")
 	fs.BoolVar(&o.gso, "gso", false, "UDP_SEGMENT segmentation offload on fan-out sockets (Linux; falls back to sendmmsg where unsupported)")
-	fs.BoolVar(&o.dvr, "dvr", false, "time-shifted delivery: record relayed packets in per-channel rings and serve Subscribe shifts and pause/resume from them")
-	fs.DurationVar(&o.dvrDepth, "dvr-depth", 0, "recorded history per channel ring (0 = the built-in 30s default; with -dvr)")
+	fs.BoolVar(&o.dvr, "dvr", false, "time-shifted delivery: record relayed packets in a bounded ring and serve Subscribe shifts and pause/resume from it")
+	fs.DurationVar(&o.dvrDepth, "dvr-depth", 0, "recorded history, one ring for everything the relay carries (0 = the built-in 30s default; with -dvr)")
 	fs.IntVar(&o.dvrBurst, "dvr-burst", 0, "catch-up delivery rate in packets/s per subscriber (0 = the built-in default; with -dvr)")
 	fs.DurationVar(&o.report, "report", 10*time.Second, "stats table interval (0 = silent)")
 	fs.StringVar(&o.opsAddr, "ops-addr", "", "ops HTTP endpoint: /metrics, /snapshot, /trace, /healthz, /debug/pprof (empty = off)")

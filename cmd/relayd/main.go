@@ -17,8 +17,8 @@
 // are transcoded down the codec profile tiers (source, ulaw, ovl-high,
 // ovl-low) and climb back after a clean dwell (-ladder-down-drops and
 // -ladder-dwell tune the thresholds). -dvr turns on time-shifted
-// delivery: relayed packets are recorded into bounded per-channel
-// rings (-dvr-depth of history), subscribers may join "from N seconds
+// delivery: relayed packets are recorded into one bounded ring
+// (-dvr-depth of history), subscribers may join "from N seconds
 // ago" or pause and resume, and their backlog is replayed at up to
 // -dvr-burst packets/s until they converge on the live stream. See
 // docs/RELAY-OPS.md for the full operator guide, including which MIB

@@ -1,11 +1,13 @@
-// Package dvr is the relay's time-shift store: a bounded per-channel
-// ring of recent stream generations that turns the per-subscriber
-// lease state the relay already keeps into a DVR (the §3.3
-// time-shifting application). A relay feeds its channel's ring from
-// the upstream receive loop; a subscriber joining with a time shift
-// ("from T seconds ago", proto.Subscribe.ShiftMs) is started from a
-// cursor into the ring and fed the backlog at faster than realtime
-// until it converges on live. Pause/resume rides the same cursor.
+// Package dvr is the relay's time-shift store: a bounded ring of
+// recent stream generations that turns the per-subscriber lease state
+// the relay already keeps into a DVR (the §3.3 time-shifting
+// application). A relay has one ring: it appends every packet it
+// relays, whatever its channel, so a ring index is the packet's index
+// in the relay's arrival sequence, and every subscriber is a cursor
+// into that sequence. One joining with a time shift ("from T seconds
+// ago", proto.Subscribe.ShiftMs) has its cursor placed in the ring and
+// is fed the backlog at faster than realtime until it converges on
+// live. Pause/resume rides the same cursor.
 //
 // The ring is bounded twice: by a packet capacity (absolute memory
 // bound) and by a depth in seconds (entries older than the depth are

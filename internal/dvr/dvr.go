@@ -45,8 +45,7 @@ type slot struct {
 	at  time.Time // arrival on the relay's clock
 }
 
-// Ring is a bounded ring of one channel's recent packets, in arrival
-// order. Entries are addressed by an absolute, monotonically
+// Ring is a bounded ring of recent packets, in arrival order. Entries are addressed by an absolute, monotonically
 // increasing index: the live window is [Tail, Head), and an index that
 // fell out of it reads as evicted. All methods are safe for concurrent
 // use.
@@ -210,49 +209,4 @@ func (r *Ring) Read(idx uint64, buf []byte) (data []byte, age time.Duration, ctl
 	}
 	s := &r.slots[idx%uint64(len(r.slots))]
 	return append(buf[:0], s.buf...), now.Sub(s.at), s.ctl, ReadOK
-}
-
-// Store is the per-channel ring table a DVR-enabled relay owns.
-type Store struct {
-	clock    vclock.Clock
-	depth    time.Duration
-	capacity int
-
-	mu    sync.Mutex
-	rings map[uint32]*Ring
-}
-
-// NewStore returns a store whose rings share the given bounds.
-func NewStore(clock vclock.Clock, depth time.Duration, capacity int) *Store {
-	return &Store{clock: clock, depth: depth, capacity: capacity, rings: make(map[uint32]*Ring)}
-}
-
-// Depth reports the per-ring time bound.
-func (s *Store) Depth() time.Duration {
-	if s.depth <= 0 {
-		return DefaultDepth
-	}
-	return s.depth
-}
-
-// Ring returns the channel's ring, creating it on first use; created
-// reports whether this call created it (the caller's gauge hook).
-func (s *Store) Ring(ch uint32) (r *Ring, created bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r = s.rings[ch]
-	if r == nil {
-		r = NewRing(s.clock, s.depth, s.capacity)
-		s.rings[ch] = r
-		created = true
-	}
-	return r, created
-}
-
-// Peek returns the channel's ring, or nil if nothing has been recorded
-// on the channel yet.
-func (s *Store) Peek(ch uint32) *Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rings[ch]
 }

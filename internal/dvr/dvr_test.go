@@ -178,27 +178,3 @@ func TestClampQuietChannelStartsLive(t *testing.T) {
 		t.Fatalf("quiet-channel Clamp = (%d, %v, %v), want (head, 0, unclamped)", start, granted, clamped)
 	}
 }
-
-func TestStoreRingPerChannel(t *testing.T) {
-	s := NewStore(simClock(), 5*time.Second, 32)
-	r1, created := s.Ring(1)
-	if !created || r1 == nil {
-		t.Fatalf("first Ring(1) = (%v, created=%v)", r1, created)
-	}
-	if _, created := s.Ring(1); created {
-		t.Fatalf("second Ring(1) claims creation")
-	}
-	r2, _ := s.Ring(2)
-	if r2 == r1 {
-		t.Fatalf("channels share a ring")
-	}
-	if s.Peek(3) != nil {
-		t.Fatalf("Peek(3) invented a ring")
-	}
-	if s.Peek(1) != r1 {
-		t.Fatalf("Peek(1) lost the ring")
-	}
-	if s.Depth() != 5*time.Second {
-		t.Fatalf("Depth() = %v", s.Depth())
-	}
-}

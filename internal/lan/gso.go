@@ -29,10 +29,14 @@ func EnableGSO(c Conn) bool {
 
 // RecvBatchStats counts a conn's batched-receive activity: how many
 // recvmmsg gather passes ran and how many packets they carried.
-// Packets/Batches is the achieved receive batch size.
+// Packets/Batches is the achieved receive batch size. Dropped counts
+// received packets the conn discarded because its inbox was full (the
+// reader outran Recv); it is counted on every receive path, batched or
+// not.
 type RecvBatchStats struct {
 	Batches int64 // batched receive passes
 	Packets int64 // packets delivered by those passes
+	Dropped int64 // packets tail-dropped at a full inbox
 }
 
 // RecvBatcher is implemented by conns that ingest with batched

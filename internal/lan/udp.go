@@ -51,6 +51,8 @@ type udpConn struct {
 	// Batched-receive accounting (recvmmsg passes; Linux only).
 	recvBatches atomic.Int64
 	recvPackets atomic.Int64
+	// inboxDropped counts packets tail-dropped at a full inbox.
+	inboxDropped atomic.Int64
 
 	mu     sync.Mutex
 	joins  map[Addr]*net.UDPConn
@@ -109,16 +111,19 @@ func (c *udpConn) deliver(pkt Packet) bool {
 	select {
 	case inbox <- pkt:
 	default: // queue overflow: tail-drop, like a socket buffer
+		c.inboxDropped.Add(1)
 	}
 	return true
 }
 
 // RecvBatchStats implements RecvBatcher: the conn's recvmmsg activity
-// (always zero on platforms without the batched receive path).
+// (always zero on platforms without the batched receive path) and its
+// inbox overflow count.
 func (c *udpConn) RecvBatchStats() RecvBatchStats {
 	return RecvBatchStats{
 		Batches: c.recvBatches.Load(),
 		Packets: c.recvPackets.Load(),
+		Dropped: c.inboxDropped.Load(),
 	}
 }
 

@@ -135,3 +135,44 @@ func TestUDPMulticastLoopback(t *testing.T) {
 		t.Skip("multicast loopback not available in this environment")
 	}
 }
+
+// TestUDPInboxOverflowCounted: a reader that outruns Recv tail-drops at
+// the conn's inbox; every such packet must show up in
+// RecvBatchStats().Dropped instead of vanishing.
+func TestUDPInboxOverflowCounted(t *testing.T) {
+	n := &UDPNetwork{}
+	a, err := n.Attach("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	defer a.Close()
+	b, err := n.Attach("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	defer b.Close()
+	// Start b's read loop, then leave its inbox undrained.
+	if _, err := b.Recv(10 * time.Millisecond); err != ErrTimeout {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	const sent = 400 // the inbox holds 256
+	for i := 0; i < sent; i++ {
+		if err := a.Send(b.LocalAddr(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%32 == 31 {
+			time.Sleep(time.Millisecond) // stay inside the kernel's socket buffer
+		}
+	}
+	drained := 0
+	for {
+		if _, err := b.Recv(100 * time.Millisecond); err != nil {
+			break
+		}
+		drained++
+	}
+	dropped := b.(RecvBatcher).RecvBatchStats().Dropped
+	if dropped == 0 || int64(drained)+dropped != sent {
+		t.Fatalf("drained %d + dropped %d, want %d in total with some dropped", drained, dropped, sent)
+	}
+}

@@ -37,8 +37,8 @@ const (
 	// TypeSubAck is the relay's reply: the granted lease, or a refusal.
 	TypeSubAck PacketType = 5
 	// TypePause freezes or resumes a subscriber's delivery cursor on a
-	// DVR-enabled relay. While paused the relay's per-channel generation
-	// ring keeps recording; resume replays the gap at faster than
+	// DVR-enabled relay. While paused the relay's generation ring keeps
+	// recording; resume replays the gap at faster than
 	// realtime until the cursor converges on live.
 	TypePause PacketType = 6
 )

@@ -1,0 +1,637 @@
+package relay
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/codec"
+	"repro/internal/dvr"
+	"repro/internal/lan"
+	"repro/internal/obs"
+	"repro/internal/proto"
+	"repro/internal/security"
+)
+
+// Delivery: one arrival sequence, many cursors. The relay numbers every
+// accepted upstream packet once, whatever its channel, and a subscriber
+// is a position in that numbering plus a channel filter, a tier, and a
+// pacing bucket — the per-listener object is the lease, never a copy of
+// the stream. A live subscriber is a cursor with zero lag; one that
+// falls more than Config.QueueLen entries behind is clamped forward and
+// the jump charged as queue-full drops; a time-shifted join places the
+// cursor in the past and a pause stops it, and either is then fed at
+// Config.DVRBurst packets per second until cursor == head. There is no
+// second structure to hand over to, so there is no seam: fanout appends
+// and wakes the shard workers, and one gather loop serves every kind of
+// subscriber.
+//
+// The last QueueLen entries are held by reference with the per-tier
+// payloads buildProfilePayloads encoded on the receive path, so live
+// delivery copies nothing. With Config.DVR the same indexes address a
+// dvr.Ring holding the deep history; a cursor placed behind reads from
+// it into a buffer owned by the batch slot it fills.
+
+// entry is one accepted upstream packet. It is immutable once published.
+type entry struct {
+	seq      uint64          // index in the arrival sequence
+	ch       uint32          // channel id
+	at       time.Time       // arrival on the process clock, for residency
+	payloads profilePayloads // wire variants per tier; nil falls back to the source's
+}
+
+// sequence is the relay's arrival sequence. Appenders (Run, and Inject
+// callers beside it) serialize on mu; readers never lock: an entry is
+// published into win before head admits its index.
+type sequence struct {
+	mu    sync.Mutex
+	chans map[uint32]uint64 // packets accepted so far, by channel
+	ring  *dvr.Ring         // deep history at the same indexes (nil without Config.DVR)
+
+	// win is the live window, indexed seq % len(win). It has one slot
+	// more than QueueLen: the appender may have overwritten the oldest
+	// slot before it publishes the head that retires it.
+	win  []atomic.Pointer[entry]
+	head atomic.Uint64 // next index to be written
+}
+
+// at returns the entry at idx while the live window still holds it.
+func (s *sequence) at(idx uint64) *entry {
+	if e := s.win[idx%uint64(len(s.win))].Load(); e != nil && e.seq == idx {
+		return e
+	}
+	return nil
+}
+
+// tip returns the head and how many of the packets before it a lessee
+// of ch (0: every channel) is owed — where a subscriber joining live
+// starts. Caller holds s.mu.
+func (s *sequence) tip(ch uint32) (head, passed uint64) {
+	head = s.head.Load()
+	if ch == 0 {
+		return head, head
+	}
+	return head, s.chans[ch]
+}
+
+// goLive puts sub's cursor at the head: zero lag.
+func (r *Relay) goLive(sub *subscriber) {
+	r.seq.mu.Lock()
+	sub.cursor, sub.passed = r.seq.tip(sub.channel)
+	r.seq.mu.Unlock()
+}
+
+// fanout appends one upstream packet to the arrival sequence and wakes
+// the shard workers. ch is the packet's channel id (already parsed by
+// handlePacket). The per-tier variants are built first, once per active
+// tier and outside every lock; no subscriber is touched here — each
+// one's worker finds the entry at its cursor.
+func (r *Relay) fanout(ch uint32, data []byte) {
+	e := &entry{ch: ch, at: time.Now(), payloads: r.buildProfilePayloads(ch, data)}
+	s := &r.seq
+	s.mu.Lock()
+	e.seq = s.head.Load()
+	s.chans[ch]++
+	if s.ring != nil {
+		t, _, _ := proto.PeekType(data)
+		s.ring.Append(data, t == proto.TypeControl)
+	}
+	s.win[e.seq%uint64(len(s.win))].Store(e)
+	s.head.Store(e.seq + 1)
+	s.mu.Unlock()
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		if len(sh.order) > 0 {
+			sh.work.Broadcast()
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// seek moves a live cursor to the next entry its filter delivers and
+// returns it, or nil once the cursor is at the head; a cursor more than
+// QueueLen behind is clamped first. Caller holds sh.mu.
+func (r *Relay) seek(sh *shard, sub *subscriber) *entry {
+	for {
+		head := r.seq.head.Load()
+		if sub.cursor >= head {
+			return nil
+		}
+		if head-sub.cursor > uint64(r.cfg.QueueLen) {
+			r.clamp(sh, sub)
+		}
+		e := r.seq.at(sub.cursor)
+		if e == nil {
+			continue // the appender lapped this read: clamp again
+		}
+		if sub.channel == 0 || e.ch == sub.channel {
+			return e
+		}
+		sub.cursor++
+	}
+}
+
+// clamp moves a live cursor up to QueueLen entries behind the head and
+// charges it the packets it skipped as queue-full drops: those of its
+// own filter only, so a channel lessee is never charged for another
+// channel's packet. They are counted as what the subscriber is owed up
+// to the head, less what it has passed, less what still waits in the
+// window. Caller holds sh.mu.
+func (r *Relay) clamp(sh *shard, sub *subscriber) {
+	s := &r.seq
+	s.mu.Lock()
+	head, owed := s.tip(sub.channel)
+	sub.cursor = head - uint64(r.cfg.QueueLen)
+	n := int64(owed-sub.passed) - int64(r.backlog(sub))
+	s.mu.Unlock()
+	sub.passed += uint64(n)
+	sub.dropped += n
+	sh.dropped += n
+	for ; n > 0; n-- {
+		r.tracer.Drop(obs.PathFanout, obs.ReasonQueueFull, string(sub.addr), sub.channel)
+	}
+}
+
+// backlog counts the packets waiting for a live subscriber: the entries
+// between its cursor and the head, as far back as the clamp allows,
+// that its filter delivers.
+func (r *Relay) backlog(sub *subscriber) (n int) {
+	if sub.replay || sub.paused {
+		return 0
+	}
+	head := r.seq.head.Load()
+	for i := max(sub.cursor, head-min(head, uint64(r.cfg.QueueLen))); i < head; i++ {
+		if e := r.seq.at(i); e != nil && (sub.channel == 0 || e.ch == sub.channel) {
+			n++
+		}
+	}
+	return n
+}
+
+// settle brings the shard's live cursors up to date without delivering
+// anything and returns the shard's queue depth. Clamps and their drop
+// charges otherwise wait for the worker to reach the subscriber, which
+// a stalled send socket can delay for as long as it likes, so the sweep
+// settles every shard (before the ladder reads the drops), and so do
+// Subscribers and Pressure. Caller holds sh.mu.
+func (r *Relay) settle(sh *shard) (queued int) {
+	for _, sub := range sh.order {
+		if !sub.replay && !sub.paused {
+			r.seek(sh, sub)
+			queued += r.backlog(sub)
+		}
+	}
+	sh.queued = queued
+	sh.maxQueued = max(sh.maxQueued, queued)
+	return queued
+}
+
+// refill tops up sub's replay token bucket — Config.DVRBurst tokens per
+// second, at most 100 ms worth — and returns how long until it holds a
+// whole one (0: ready).
+func (r *Relay) refill(sub *subscriber, now time.Time) time.Duration {
+	rate := float64(r.cfg.DVRBurst)
+	if sub.tokensAt.IsZero() {
+		sub.tokensAt, sub.tokens = now, 1
+	}
+	sub.tokens += now.Sub(sub.tokensAt).Seconds() * rate
+	sub.tokensAt = now
+	if burst := max(rate/10, 1); sub.tokens > burst {
+		sub.tokens = burst
+	}
+	if sub.tokens >= 1 {
+		return 0
+	}
+	if d := time.Duration((1 - sub.tokens) / rate * float64(time.Second)); d > 0 {
+		return d
+	}
+	return time.Millisecond
+}
+
+// pass is what one gather pass shares across its subscribers: the relay
+// clock (replay pacing), the process clock (residency — the simulated
+// clock would report it as zero), and the replay accounting.
+type pass struct {
+	now, wall       time.Time
+	served, evicted int64
+}
+
+// next takes the next packet owed to sub, returning its wire bytes, or
+// nil and — when only an empty token bucket stands in the way — how
+// long until a token is due. A live cursor is handed the window's entry
+// by reference. A replay cursor reads the recorded history instead, into
+// *slot, transcoded for the subscriber's tier on demand; one the ring
+// wrapped past restarts at its oldest entry and is counted; one that
+// reaches the head is live from the next packet on. Caller holds sh.mu.
+func (r *Relay) next(sh *shard, sub *subscriber, slot *[]byte, p *pass) ([]byte, time.Duration) {
+	for !sub.paused {
+		if !sub.replay {
+			e := r.seek(sh, sub)
+			if e == nil {
+				break
+			}
+			sub.cursor, sub.passed = sub.cursor+1, sub.passed+1
+			r.queueResidency.Observe(p.wall.Sub(e.at))
+			if data := e.payloads[sub.profile]; data != nil {
+				return data, 0
+			}
+			return e.payloads[codec.ProfileSource], 0
+		}
+		if sub.cursor >= r.seq.head.Load() {
+			r.seq.mu.Lock()
+			head, passed := r.seq.tip(sub.channel)
+			r.seq.mu.Unlock()
+			if sub.cursor >= head { // converged: live from the next packet on
+				sub.replay, sub.passed = false, passed
+				r.catchupActive.Add(-1)
+			}
+			continue
+		}
+		if wait := r.refill(sub, p.now); wait > 0 {
+			return nil, wait
+		}
+		data, age, _, st := r.seq.ring.Read(sub.cursor, *slot)
+		*slot = data
+		if st == dvr.ReadEvicted {
+			sub.cursor = r.seq.ring.Tail()
+			p.evicted++
+			continue
+		}
+		sub.cursor++
+		_, ch, err := proto.PeekType(data)
+		if st != dvr.ReadOK || err != nil || (sub.channel != 0 && ch != sub.channel) {
+			continue
+		}
+		if sub.profile != codec.ProfileSource {
+			if b := r.transcodeFor(ch, data, sub.profile); b != nil {
+				data = b
+			}
+		}
+		sub.tokens--
+		p.served++
+		r.catchupLag.Observe(age)
+		return data, 0
+	}
+	return nil, 0
+}
+
+// batch is a shard worker's pending WriteBatch.
+type batch struct {
+	dgs    []lan.Datagram
+	owners []*subscriber // owners[i] is the subscriber behind dgs[i]
+	// slots[i] backs dgs[i] when that packet was read from the deep
+	// ring: a buffer per batch position, reused only after the flush, so
+	// backlog packets gathered into one batch never alias.
+	slots [][]byte
+}
+
+// gather walks the shard once, taking at most one packet per subscriber
+// — round-robin, so a deep backlog cannot starve its neighbours, and
+// FIFO per subscriber because a cursor only moves forward. It reports
+// whether it took anything (a pass that takes nothing has left every
+// cursor at the head, paused, or out of tokens) and, for the last case,
+// the shortest refill delay, so the worker can sleep exactly that long.
+// Caller holds sh.mu.
+func (r *Relay) gather(sh *shard, b *batch) (progress bool, wait time.Duration) {
+	p := pass{now: r.clock.Now(), wall: time.Now()}
+	before, head := len(b.dgs), r.seq.head.Load()
+	for _, sub := range sh.order {
+		if len(b.dgs) >= len(b.slots) {
+			break
+		}
+		if sub.cursor >= head && !sub.replay {
+			continue // the common case, without the calls: live and up to date
+		}
+		data, w := r.next(sh, sub, &b.slots[len(b.dgs)], &p)
+		if data != nil {
+			b.dgs = append(b.dgs, lan.Datagram{To: sub.addr, Data: data})
+			b.owners = append(b.owners, sub)
+		} else if w > 0 && (wait == 0 || w < wait) {
+			wait = w
+		}
+	}
+	if p.served+p.evicted > 0 {
+		r.count(func(s *Stats) {
+			s.DVRBacklog += p.served
+			s.DVREvictions += p.evicted
+		})
+	}
+	return len(b.dgs) > before, wait
+}
+
+// flushTrigger names what caused a batch flush.
+type flushTrigger int
+
+const (
+	flushSize     flushTrigger = iota // batch reached cfg.Batch
+	flushDeadline                     // partial batch aged out (FlushInterval)
+	flushQuiesce                      // relay stopping; drain what's left
+)
+
+// shardWorker turns its shard's cursors into lan.Datagram batches. A
+// batch flushes when full (size), when a partial batch has waited
+// FlushInterval for company (deadline), or when the relay stops
+// (quiesce). The actual sends happen outside the shard lock.
+func (r *Relay) shardWorker(sh *shard) {
+	defer func() {
+		if sh.ownConn {
+			sh.conn.Close()
+		}
+		r.mu.Lock()
+		r.workersDone++
+		r.workersIdle.Broadcast()
+		r.mu.Unlock()
+	}()
+	b := batch{dgs: lan.GetBatch(), slots: make([][]byte, r.cfg.Batch)}
+	defer func() { lan.PutBatch(b.dgs) }() // reuse pool: zero steady-state allocation
+	for {
+		b.dgs, b.owners = b.dgs[:0], b.owners[:0]
+		var deadline time.Time
+		trigger := flushQuiesce
+		sh.mu.Lock()
+		for {
+			progress, wait := r.gather(sh, &b)
+			if len(b.dgs) >= len(b.slots) {
+				trigger = flushSize
+				break
+			}
+			if sh.stopped {
+				break
+			}
+			if progress {
+				continue // cursors may still be behind the head
+			}
+			if len(b.dgs) > 0 {
+				// Partial batch and every cursor at the head: linger
+				// briefly for more work, but never past the flush deadline.
+				if deadline.IsZero() {
+					deadline = r.clock.Now().Add(r.cfg.FlushInterval)
+				}
+				remain := deadline.Sub(r.clock.Now())
+				if remain <= 0 || !sh.work.WaitTimeout(&sh.mu, remain) {
+					trigger = flushDeadline
+					break
+				}
+				continue
+			}
+			if wait > 0 {
+				// Token-starved replay and nothing else to do: sleep until
+				// the bucket refills rather than waiting for a signal that
+				// may never come.
+				sh.work.WaitTimeout(&sh.mu, wait)
+				continue
+			}
+			sh.work.Wait(&sh.mu)
+		}
+		stopped := sh.stopped
+		sh.mu.Unlock()
+		if len(b.dgs) > 0 {
+			r.flush(sh, b.dgs, b.owners, trigger)
+		}
+		if stopped && len(b.dgs) == 0 {
+			return
+		}
+	}
+}
+
+// byDest stable-sorts a batch and its owners by destination: a
+// subscriber owed several packets ends up with them adjacent (and,
+// stable, still in FIFO order), which is the run shape the GSO backend
+// coalesces into a single kernel send.
+type byDest struct {
+	dgs    []lan.Datagram
+	owners []*subscriber
+}
+
+func (g byDest) Len() int           { return len(g.dgs) }
+func (g byDest) Less(i, j int) bool { return g.dgs[i].To < g.dgs[j].To }
+func (g byDest) Swap(i, j int) {
+	g.dgs[i], g.dgs[j] = g.dgs[j], g.dgs[i]
+	g.owners[i], g.owners[j] = g.owners[j], g.owners[i]
+}
+
+// flush sends one gathered batch through the shard's socket and settles
+// the accounting. WriteBatch has prefix semantics — datagrams before the
+// first error were handed to the substrate, the rest were not — so on a
+// partial send the failing datagram is skipped and the remainder
+// retried: one subscriber with a poisoned path (ICMP-refused port,
+// firewall EPERM) must not starve the subscribers batched after it.
+func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigger flushTrigger) {
+	t0 := time.Now()
+	first, size := dgs[0].To, len(dgs)
+	if r.cfg.GSO {
+		sort.Stable(byDest{dgs: dgs, owners: owners})
+	}
+	var sent, errs int64
+	for len(dgs) > 0 {
+		n, err := lan.WriteBatch(sh.conn, dgs)
+		if n > len(dgs) {
+			n = len(dgs) // defensive: prefix contract
+		}
+		sh.mu.Lock()
+		for _, sub := range owners[:n] {
+			sub.sent++
+		}
+		sh.sent += int64(n)
+		sh.mu.Unlock()
+		sent += int64(n)
+		dgs, owners = dgs[n:], owners[n:]
+		if err == nil {
+			break
+		}
+		if len(dgs) > 0 { // skip the datagram that errored, keep going
+			r.tracer.Drop(obs.PathFanout, obs.ReasonSendError, string(dgs[0].To), 0)
+			dgs, owners = dgs[1:], owners[1:]
+		}
+		errs++
+	}
+	r.flushLatency.Observe(time.Since(t0))
+	r.tracer.Send(obs.PathFanout, string(first), 0, size)
+	r.count(func(s *Stats) {
+		s.FanoutSent += sent
+		s.SendErrors += errs
+		s.Batches++
+		switch trigger {
+		case flushSize:
+			s.FlushSize++
+		case flushDeadline:
+			s.FlushDeadline++
+		case flushQuiesce:
+			s.FlushQuiesce++
+		}
+	})
+}
+
+// grantShift resolves a Subscribe's requested time shift against the
+// recorded history: the granted shift (the age of the entry the cursor
+// actually landed on — clamped to the ring's depth, walked back to a
+// Control packet so the decoder locks immediately) is stored on the
+// subscriber, echoed in the ack, and — when there is backlog to replay
+// — the cursor is placed there. A request the ring cannot satisfy in
+// full (deeper than the recorded history, or nothing recorded at all) is
+// clamped and counted, as is a wildcard Subscribe on a wildcard relay,
+// which names no stream to be shifted on and is granted live. Caller
+// holds sh.mu and r.mu.
+func (r *Relay) grantShift(sub *subscriber, a *admission) {
+	if a.req.Channel == 0 && r.cfg.Channel == 0 {
+		r.stats.DVRClamped++
+		return
+	}
+	start, granted, clamped := r.seq.ring.Clamp(time.Duration(a.req.ShiftMs) * time.Millisecond)
+	if clamped {
+		r.stats.DVRClamped++
+	}
+	sub.shiftMs = uint32(granted / time.Millisecond)
+	a.ack.ShiftMs = sub.shiftMs
+	if granted <= 0 {
+		return // quiet stream: nothing to replay, start live
+	}
+	sub.cursor, sub.replay = start, true
+	r.catchupActive.Add(1)
+}
+
+// handlePause applies one Pause packet. A pause is a cursor that does
+// not advance: it stays where the live stream, or a replay, had reached
+// and nothing is delivered; resume feeds everything recorded since from
+// there at the bounded burst rate. The packet is verified exactly like
+// a Subscribe — pause creates server-side replay state, so a forged
+// pause from a spoofed source must not be able to silence or redirect a
+// subscriber's stream. Verification proves the packet was once genuine,
+// not that it is fresh, so the seq is enforced too: a pause must carry
+// a seq above every pause this lease has already consumed, closing the
+// capture-and-replay variant of the same attack (an on-path recorder
+// re-parking the subscriber with an old signed pause for as long as the
+// lease keeps refreshing). The channel must name the leased channel (0
+// is a wildcard) — a pause addressed to some other channel leaves this
+// lease alone.
+func (r *Relay) handlePause(pkt lan.Packet) {
+	data := pkt.Data
+	var identity uint32
+	var seq uint64
+	session := false
+	if sa, ok := r.cfg.Auth.(security.SessionAuthenticator); ok {
+		// Per-subscriber identity: verified under the claimed identity's
+		// credential with the UDP source bound in; the identity and
+		// trailer sequence are then checked against the lease below.
+		data, identity, seq, ok = sa.VerifySession(pkt.Data, string(pkt.From))
+		if !ok {
+			r.count(func(s *Stats) { s.AuthDropped++ })
+			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(pkt.From), 0)
+			return
+		}
+		session = true
+	} else if r.cfg.Auth != nil {
+		var ok bool
+		data, ok = r.cfg.Auth.Verify(pkt.Data)
+		if !ok {
+			r.count(func(s *Stats) { s.AuthDropped++ })
+			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(pkt.From), 0)
+			return
+		}
+	}
+	p, err := proto.UnmarshalPause(data)
+	if err != nil {
+		r.count(func(s *Stats) { s.Malformed++ })
+		r.tracer.Drop(obs.PathControl, obs.ReasonMalformed, string(pkt.From), 0)
+		return
+	}
+	if r.seq.ring == nil {
+		return // not recording: nothing to replay on resume
+	}
+	sh := r.shardFor(pkt.From)
+	var dropReason obs.Reason
+	var mismatch, replay bool
+	sh.mu.Lock()
+	sub, ok := sh.subs[pkt.From]
+	var ch uint32
+	if ok {
+		if ch = sub.channel; ch == 0 {
+			ch = r.cfg.Channel
+		}
+	}
+	// The session sequence to consume: the identity trailer's in session
+	// mode (shared by every control action on this lease), the pause
+	// body's otherwise.
+	nseq := uint64(p.Seq)
+	if session {
+		nseq = seq
+	}
+	switch {
+	case !ok:
+		// No lease, nothing to pause.
+	case session && sub.identity != identity:
+		// Signed by some valid credential, but not this lease's: a
+		// forged cross-subscriber pause.
+		mismatch = true
+		dropReason = obs.ReasonAuth
+	case p.Channel != 0 && ch != 0 && p.Channel != ch:
+		// Addressed to a channel this lease does not carry.
+		dropReason = obs.ReasonChannelFilter
+	case nseq <= sub.ctlSeq:
+		// Replay or reorder of an already-consumed control action.
+		replay = session
+		dropReason = obs.ReasonStale
+	case p.Paused && !sub.paused:
+		sub.ctlSeq = nseq
+		if sub.replay {
+			r.catchupActive.Add(-1)
+		}
+		sub.replay, sub.paused = true, true
+	case !p.Paused && sub.paused:
+		sub.ctlSeq = nseq
+		sub.paused = false
+		r.catchupActive.Add(1)
+		sh.work.Broadcast() // wake the worker: the replay starts now
+	default:
+		// State-wise a no-op (pause while paused, resume while live),
+		// but the seq is still consumed: a duplicate of this packet
+		// must not be replayable later, after the state has moved.
+		sub.ctlSeq = nseq
+	}
+	sh.mu.Unlock()
+	if mismatch {
+		r.count(func(s *Stats) { s.IdentityMismatch++ })
+	}
+	if replay {
+		r.count(func(s *Stats) { s.ReplayDropped++ })
+	}
+	if dropReason != obs.ReasonNone {
+		r.tracer.Drop(obs.PathControl, dropReason, string(pkt.From), p.Channel)
+	}
+}
+
+// transcodeFor re-encodes one packet read from the deep ring for a
+// single delivery tier — the replay analog of buildProfilePayloads,
+// which encodes once per active profile for the whole fan-out. Backlog
+// is positioned per subscriber, so it is encoded per subscriber instead,
+// bounded by the burst rate. The derived epoch matches the live path's exactly
+// (profileEpoch), so the decoder cannot tell where the backlog ends
+// and live begins. Backlog recorded under an earlier stream
+// configuration (epoch mismatch against the learned stream) falls back
+// to the source payload — the decoder handles the epoch change the
+// same way it handles any reconfiguration. nil means "serve the source
+// payload".
+func (r *Relay) transcodeFor(ch uint32, data []byte, p codec.Profile) []byte {
+	t, _, err := proto.PeekType(data)
+	if err != nil {
+		return nil
+	}
+	r.txMu.Lock()
+	defer r.txMu.Unlock()
+	st := r.streams[ch]
+	if st == nil || st.tx[p] == nil {
+		return nil
+	}
+	switch t {
+	case proto.TypeControl:
+		if ctl, err := proto.UnmarshalControl(data); err == nil && ctl.Epoch == st.ctl.Epoch {
+			return tierControl(ctl, p)
+		}
+	case proto.TypeData:
+		if d, err := proto.UnmarshalData(data); err == nil && d.Epoch == st.ctl.Epoch {
+			return tierData(st.tx[p], d, p)
+		}
+	}
+	return nil
+}

@@ -11,17 +11,24 @@
 // refreshing. All per-listener state therefore lives in the relay, is
 // soft, and is bounded.
 //
-// The fan-out path is sharded and batched: subscribers hash onto
-// shards, each shard has its own worker task, lock, and (when a Network
-// is configured) its own send socket, and every subscriber owns a
-// bounded packet queue with drop-oldest backpressure — a slow or dead
-// unicast path cannot stall the multicast receive loop or other
-// subscribers. An upstream packet is parsed once and the same buffer is
-// enqueued to every subscriber leased to its channel by reference; the
-// workers drain queues round-robin into lan.Datagram batches and flush
-// them with one WriteBatch call (sendmmsg on Linux) when the batch
-// fills, when a partial batch has lingered for the flush interval, or
-// when the relay quiesces.
+// Delivery is one arrival sequence and many cursors (delivery.go): the
+// relay numbers every accepted upstream packet once and keeps the last
+// Config.QueueLen of them by reference, and a subscriber is a position
+// in that numbering plus a channel filter, a tier, and a pacing bucket
+// — the per-listener object is the lease, never a copy of the stream.
+// The receive loop appends and wakes the shards; it touches no
+// subscriber, so a slow or dead unicast path cannot stall it. A live
+// subscriber is a cursor with zero lag; one that falls more than
+// QueueLen behind is clamped forward and the jump counted as queue-full
+// drops. With Config.DVR the same indexes address a deep ring
+// (internal/dvr): a time-shifted join places the cursor in the past, a
+// pause stops it, and both are fed at a bounded burst rate until the
+// cursor reaches the head again. Subscribers hash onto shards, each
+// with its own worker task, lock, and (when a Network is configured)
+// send socket; the workers walk their cursors round-robin into
+// lan.Datagram batches and flush them with one WriteBatch call
+// (sendmmsg on Linux) when the batch fills, when a partial batch has
+// lingered for the flush interval, or when the relay quiesces.
 //
 // Relays chain: a Relay configured with an Upstream address is itself
 // a subscriber — it leases the stream from another relay (through the

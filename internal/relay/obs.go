@@ -35,16 +35,16 @@ func (r *Relay) RegisterObs(reg *obs.Registry) {
 		"unicast packets delivered, by shard", "shard",
 		shardLV(func(s ShardStats) int64 { return s.Sent }))
 	reg.LabeledCounter("es_relay_shard_dropped_total",
-		"packets dropped by queue backpressure, by shard", "shard",
+		"packets skipped by clamping lagging subscribers forward, by shard", "shard",
 		shardLV(func(s ShardStats) int64 { return s.Dropped }))
 	reg.LabeledGauge("es_relay_shard_subscribers",
 		"leased subscribers, by shard", "shard",
 		shardLV(func(s ShardStats) int64 { return int64(s.Subscribers) }))
 	reg.LabeledGauge("es_relay_shard_queued",
-		"packets waiting in subscriber queues, by shard", "shard",
+		"packets between live subscribers' cursors and the head at the last sweep, by shard", "shard",
 		shardLV(func(s ShardStats) int64 { return int64(s.Queued) }))
 	reg.LabeledGauge("es_relay_shard_max_queued",
-		"high-water mark of queued packets, by shard", "shard",
+		"high-water mark of queued packets over sweeps, by shard", "shard",
 		shardLV(func(s ShardStats) int64 { return int64(s.MaxQueued) }))
 
 	reg.Histogram(r.flushLatency)

@@ -7,13 +7,13 @@ import (
 	"repro/internal/proto"
 )
 
-// Per-profile delivery groups: the relay serves one upstream stream at
+// Per-profile delivery: the relay serves one upstream stream at
 // several quality tiers (codec.Profile). Subscribers request a tier at
 // subscribe time; the adaptive ladder (sweep) may step a congested
 // subscriber further down and back up. The fan-out path encodes the
 // upstream payload once per *active* profile — never per subscriber —
-// and the shard workers group datagrams by profile so each flush is
-// one same-payload delivery group, the shape UDP GSO coalesces.
+// and keeps the variants with the packet's entry in the arrival
+// sequence, where each subscriber's worker picks its tier's bytes.
 
 // Ladder defaults.
 const (
@@ -58,6 +58,38 @@ func profileEpoch(epoch uint32, p codec.Profile) uint32 {
 	return epoch<<2 | uint32(p)
 }
 
+// tierControl rewrites a Control packet for tier p: the tier's codec
+// and quality under its derived epoch. nil means it could not be
+// marshaled.
+func tierControl(ctl *proto.Control, p codec.Profile) []byte {
+	name, quality := p.CodecSpec()
+	nc := *ctl
+	nc.Epoch, nc.Codec, nc.Quality = profileEpoch(ctl.Epoch, p), name, uint8(quality)
+	b, err := nc.Marshal()
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// tierData transcodes a Data packet for tier p through tx, re-marshaled
+// under the tier's derived epoch with seq and play deadline preserved,
+// so relative timing survives the quality change 1:1. nil means the
+// payload could not be transcoded. Caller holds r.txMu.
+func tierData(tx *codec.Transcoder, d *proto.Data, p codec.Profile) []byte {
+	payload, err := tx.Transcode(d.Payload)
+	if err != nil {
+		return nil
+	}
+	nd := *d
+	nd.Epoch, nd.Payload = profileEpoch(d.Epoch, p), payload
+	b, err := nd.Marshal()
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
 // learnStream ingests one upstream Control packet: it records the
 // channel's encoding and (re)builds the per-profile transcoders when
 // the configuration changed. Caller holds r.txMu.
@@ -88,13 +120,11 @@ func (r *Relay) learnStream(ch uint32, ctl *proto.Control) *stream {
 
 // buildProfilePayloads produces the per-profile variants of one
 // upstream packet, encoding once per active profile regardless of how
-// many subscribers hold each tier. It runs outside every shard lock —
-// transcoding must never stall the enqueue path of subscribers on
-// other tiers. Control packets are always learned (so transcoders are
+// many subscribers hold each tier. It runs outside every lock but
+// txMu — transcoding must never stall delivery to subscribers on other
+// tiers. Control packets are always learned (so transcoders are
 // ready before the first tiered subscriber needs them) and rewritten
-// per tier with the tier's codec, quality, and derived epoch; Data
-// packets are transcoded and re-marshaled with seq and play deadline
-// preserved, so relative timing survives the quality change 1:1.
+// per tier (tierControl); Data packets are transcoded (tierData).
 func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 	var out profilePayloads
 	out[codec.ProfileSource] = data
@@ -133,14 +163,7 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 			if !servable {
 				continue // tier falls back to source; Control stays the source's
 			}
-			name, quality := p.CodecSpec()
-			nc := *ctl
-			nc.Epoch = profileEpoch(ctl.Epoch, p)
-			nc.Codec = name
-			nc.Quality = uint8(quality)
-			if b, err := nc.Marshal(); err == nil {
-				out[p] = b
-			}
+			out[p] = tierControl(ctl, p)
 		}
 	case proto.TypeData:
 		if !active {
@@ -162,21 +185,11 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 				continue
 			}
 			t0 := time.Now()
-			payload, err := st.tx[p].Transcode(d.Payload)
-			if err != nil {
-				errs++
-				continue
-			}
-			nd := *d
-			nd.Epoch = profileEpoch(d.Epoch, p)
-			nd.Payload = payload
-			b, err := nd.Marshal()
-			if err != nil {
+			if out[p] = tierData(st.tx[p], d, p); out[p] == nil {
 				errs++
 				continue
 			}
 			r.transcodeLatency.Observe(time.Since(t0))
-			out[p] = b
 			encodes++
 		}
 		if encodes+errs > 0 {
@@ -190,7 +203,7 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 }
 
 // ladderStep evaluates the adaptive ladder for one shard's subscribers
-// (called from sweep, under sh.mu): a subscriber whose queue dropped at
+// (called from sweep, under sh.mu): a subscriber clamped past at
 // least cfg.LadderDownDrops packets since the last sweep steps one tier
 // down; one that stayed completely drop-free for cfg.LadderDwell steps
 // one tier back up, never past its requested profile. The asymmetric

@@ -151,36 +151,31 @@ func TestFanoutEncodesOncePerProfile(t *testing.T) {
 		t.Fatalf("TranscodeErrors = %d", st.TranscodeErrors)
 	}
 
-	inspect := func(addr lan.Addr) []queued {
-		sh := r.shardFor(addr)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return append([]queued(nil), sh.subs[addr].queue...)
+	sent := drain(r)
+	// The source subscriber is sent the original bytes.
+	src := sent["10.0.0.2:5004"]
+	if len(src) != 3 {
+		t.Fatalf("source subscriber sent %d packets, want 3", len(src))
 	}
-	// The source subscriber's queue carries the original bytes.
-	src := inspect("10.0.0.2:5004")
-	if len(src) != 3 || src[0].prof != codec.ProfileSource {
-		t.Fatalf("source queue = %d entries, prof %v", len(src), src[0].prof)
-	}
-	srcData, err := proto.UnmarshalData(src[1].data)
+	srcData, err := proto.UnmarshalData(src[1])
 	if err != nil || len(srcData.Payload) != payload || srcData.Epoch != 1 {
 		t.Fatalf("source data = %+v, err %v", srcData, err)
 	}
 
 	// The ulaw subscriber sees a rewritten Control (tier codec, derived
 	// epoch) and half-size payloads carrying the same seq and deadline.
-	ul := inspect("10.0.0.5:5004")
-	if len(ul) != 3 || ul[0].prof != codec.ProfileULaw {
-		t.Fatalf("ulaw queue = %d entries, prof %v", len(ul), ul[0].prof)
+	ul := sent["10.0.0.5:5004"]
+	if len(ul) != 3 {
+		t.Fatalf("ulaw subscriber sent %d packets, want 3", len(ul))
 	}
-	ctl, err := proto.UnmarshalControl(ul[0].data)
+	ctl, err := proto.UnmarshalControl(ul[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ctl.Codec != "ulaw" || ctl.Epoch == 1 {
 		t.Fatalf("rewritten control = codec %q epoch %d, want ulaw with a derived epoch", ctl.Codec, ctl.Epoch)
 	}
-	d, err := proto.UnmarshalData(ul[1].data)
+	d, err := proto.UnmarshalData(ul[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +186,9 @@ func TestFanoutEncodesOncePerProfile(t *testing.T) {
 		t.Fatalf("ulaw data = %+v, want control epoch %d seq/deadline preserved", d, ctl.Epoch)
 	}
 
-	// Both ulaw subscribers share the identical encoded bytes — the
-	// same-payload delivery group GSO coalesces.
-	ul2 := inspect("10.0.0.6:5004")
-	if string(ul2[1].data) != string(ul[1].data) {
+	// Both ulaw subscribers share the one encoded buffer.
+	ul2 := sent["10.0.0.6:5004"]
+	if &ul2[1][0] != &ul[1][0] {
 		t.Fatal("ulaw subscribers got different encodings of one packet")
 	}
 }

@@ -25,7 +25,8 @@ import (
 const (
 	// DefaultShards is the subscriber-table shard count.
 	DefaultShards = 8
-	// DefaultQueueLen bounds each subscriber's packet queue.
+	// DefaultQueueLen bounds how far a live subscriber may lag the
+	// stream, in packets of the relay's arrival sequence.
 	DefaultQueueLen = 64
 	// DefaultMaxSubscribers caps the whole subscriber table.
 	DefaultMaxSubscribers = 1024
@@ -106,7 +107,11 @@ type Config struct {
 	Channel uint32
 	// Shards overrides DefaultShards.
 	Shards int
-	// QueueLen overrides DefaultQueueLen (packets per subscriber).
+	// QueueLen overrides DefaultQueueLen: how many packets a live
+	// subscriber's cursor may lag the head of the relay's arrival
+	// sequence before it is clamped forward and the jump counted as
+	// queue-full drops. The sequence numbers every accepted packet, so
+	// on a multi-channel group the window is shared by its channels.
 	QueueLen int
 	// MaxSubscribers overrides DefaultMaxSubscribers.
 	MaxSubscribers int
@@ -204,20 +209,21 @@ type Config struct {
 	// queue-drop delta that triggers a downgrade.
 	LadderDownDrops int
 	// GSO enables UDP_SEGMENT coalescing on the shard send sockets
-	// (where the backend supports it): the profile-grouped flush sorts
-	// each delivery group by destination, so a subscriber owed several
-	// same-size packets costs one kernel send instead of several.
+	// (where the backend supports it): the flush sorts each batch by
+	// destination, so a subscriber owed several same-size packets costs
+	// one kernel send instead of several.
 	GSO bool
-	// DVR enables time-shifted delivery: every relayed packet is
-	// recorded into a bounded per-channel ring before fan-out, and a
-	// Subscribe carrying a time shift (proto.Subscribe.ShiftMs) is
-	// started from a cursor into that ring and fed the backlog at a
-	// bounded faster-than-realtime rate until it converges on live.
-	// Pause/resume (proto.Pause) rides the same cursor.
+	// DVR enables time-shifted delivery: every relayed packet is also
+	// recorded into one bounded ring (internal/dvr) at its index in the
+	// arrival sequence, and a Subscribe carrying a time shift
+	// (proto.Subscribe.ShiftMs) has its cursor placed that far back and
+	// is fed the backlog at a bounded faster-than-realtime rate until it
+	// converges on live. Pause/resume (proto.Pause) rides the same
+	// cursor.
 	DVR bool
-	// DVRDepth bounds each ring's recorded history in seconds of
-	// arrival time; 0 uses dvr.DefaultDepth. The packet capacity is
-	// derived from the depth (see dvr.NewRing).
+	// DVRDepth bounds the recorded history in seconds of arrival time;
+	// 0 uses dvr.DefaultDepth. The packet capacity is derived from the
+	// depth (see dvr.NewRing) and shared by every channel relayed.
 	DVRDepth time.Duration
 	// DVRBurst overrides DefaultDVRBurst: the catch-up delivery rate
 	// cap, in packets per second per catching-up subscriber.
@@ -299,7 +305,7 @@ type Stats struct {
 	ReplayDropped    int64 `mib:"es.relay.replay.dropped" help:"control requests dropped by the per-session replay window (sequence at or below the last consumed)"`
 	TierSheds        int64 `mib:"es.relay.ladder.sheds" help:"ladder-floor subscribers redirected to a less-loaded sibling at refresh (Config.ShedTier)"`
 	FanoutSent       int64 `mib:"es.relay.fanout.sent" help:"unicast packets delivered"`
-	FanoutDropped    int64 `mib:"es.relay.fanout.dropped" help:"packets dropped by queue backpressure"`
+	FanoutDropped    int64 `mib:"es.relay.fanout.dropped" help:"packets skipped by clamping a lagging subscriber forward (queue backpressure)"`
 	SendErrors       int64 `mib:"es.relay.senderrors" help:"unicast send failures"`
 
 	// Chaining telemetry (nonzero only with Config.Upstream set): the
@@ -320,7 +326,7 @@ type Stats struct {
 	// Batching telemetry: Batches counts WriteBatch flushes, split by
 	// what triggered them. FanoutSent / Batches is the achieved batch
 	// size — the syscall amortization factor on a real network.
-	Batches       int64 `mib:"es.relay.fanout.batches" help:"WriteBatch flushes issued (one per delivery group)"`
+	Batches       int64 `mib:"es.relay.fanout.batches" help:"WriteBatch flushes issued"`
 	FlushSize     int64 `mib:"es.relay.fanout.flush.size" help:"flushes triggered by a full batch"`
 	FlushDeadline int64 `mib:"es.relay.fanout.flush.deadline" help:"partial batches flushed on the flush interval"`
 	FlushQuiesce  int64 `mib:"es.relay.fanout.flush.quiesce" help:"partial batches flushed at shutdown"`
@@ -334,17 +340,21 @@ type Stats struct {
 	LadderDown       int64 `mib:"es.relay.ladder.down" help:"quality-ladder downgrades (one tier, queue pressure)"`
 	LadderUp         int64 `mib:"es.relay.ladder.up" help:"quality-ladder upgrades (one tier, after a drop-free dwell)"`
 
-	// Batched-receive telemetry (recvmmsg; Linux only, zero elsewhere):
-	// RecvBatchPackets / RecvBatches is the achieved ingest batch size.
+	// Receive-socket telemetry. RecvBatchPackets / RecvBatches is the
+	// achieved ingest batch size (recvmmsg; Linux only, zero elsewhere).
+	// RecvDropped counts packets the socket's reader discarded because
+	// Run had not drained its inbox — stream and control packets share
+	// it, so a control burst shows up here as lost stream packets.
 	RecvBatches      int64 `mib:"es.relay.recv.batches" help:"batched receive passes (recvmmsg) on the relay socket"`
 	RecvBatchPackets int64 `mib:"es.relay.recv.packets" help:"packets delivered by batched receive passes"`
+	RecvDropped      int64 `mib:"es.relay.recv.dropped" help:"received packets tail-dropped at the relay socket's full inbox (stream and control share it)"`
 
 	// Time-shift (DVR) telemetry (nonzero only with Config.DVR set).
 	// DVRCatchupActive is a gauge snapshot — subscribers currently
 	// replaying backlog — folded in by Stats(), so it falls as cursors
 	// converge on live.
-	DVRRings         int64 `mib:"es.relay.dvr.rings" help:"per-channel DVR rings created"`
-	DVRBacklog       int64 `mib:"es.relay.dvr.backlog.packets" help:"backlog packets served from the DVR rings to catching-up subscribers"`
+	DVRRings         int64 `mib:"es.relay.dvr.rings" help:"DVR rings recording (one per relay with Config.DVR, shared by its channels)"`
+	DVRBacklog       int64 `mib:"es.relay.dvr.backlog.packets" help:"backlog packets served to catching-up subscribers"`
 	DVRCatchupActive int64 `mib:"es.relay.dvr.catchup.active" help:"subscribers currently replaying backlog toward the live head"`
 	DVRClamped       int64 `mib:"es.relay.dvr.clamped" help:"time-shift requests granted less history than asked (ring depth or nothing recorded)"`
 	DVREvictions     int64 `mib:"es.relay.dvr.evictions" help:"catch-up cursors the ring wrapped past (subscriber fell behind; re-clamped to the oldest entry)"`
@@ -358,23 +368,12 @@ type SubscriberInfo struct {
 	Profile    codec.Profile // delivery tier currently served
 	ReqProfile codec.Profile // tier requested at subscribe (ladder ceiling)
 	Sent       int64         // unicast packets sent
-	Dropped    int64         // packets dropped by this subscriber's queue
-	Queued     int           // packets currently queued
+	Dropped    int64         // packets skipped by clamping this subscriber forward
+	Queued     int           // packets between its cursor and the head that its filter delivers
 	Expires    time.Time
 	Shift      time.Duration // granted time shift (DVR; 0 = joined live)
 	CatchingUp bool          // currently replaying DVR backlog
 	Paused     bool          // delivery parked by a Pause packet
-}
-
-// queued is one packet waiting in a subscriber queue, stamped with its
-// enqueue time so the worker can observe queue residency — the latency
-// the relay itself adds to the stream — when it gathers the packet.
-// The stamp is wall clock, not the relay's vclock: residency measures
-// the process, and the simulated clock would report it as zero.
-type queued struct {
-	data []byte
-	prof codec.Profile // delivery group the payload was encoded for
-	at   time.Time
 }
 
 // subscriber is one leased unicast destination.
@@ -384,7 +383,6 @@ type subscriber struct {
 	hops    uint8  // relay depth behind this subscriber (speakers: 0)
 	pathID  uint64 // path origin carried by its subscribe (speakers: 0)
 	expires time.Time
-	queue   []queued // bounded FIFO; head is oldest
 	sent    int64
 	dropped int64
 
@@ -413,23 +411,21 @@ type subscriber struct {
 	ladderAt    time.Time
 	shedPending bool
 
-	// Time-shift (DVR) state: while catchup is set the subscriber is
-	// fed from ring at cursor by the shard worker instead of the live
-	// fan-out (which skips it), paced by the token bucket
-	// dvrTokens/dvrAt; paused parks the cursor entirely. shiftMs is
-	// the granted shift, echoed on refresh acks. Replayed or reordered
-	// pauses are rejected against ctlSeq above. scratch is the
-	// ring-read buffer; it is reused only while no un-flushed batch
-	// references it (ownership moves to the batch when a read is handed
-	// over un-transcoded, see gatherCatchup).
-	ring      *dvr.Ring
-	cursor    uint64
-	shiftMs   uint32
-	catchup   bool
-	paused    bool
-	dvrTokens float64
-	dvrAt     time.Time
-	scratch   []byte
+	// Delivery state (see delivery.go): cursor is the subscriber's
+	// position in the relay's arrival sequence, and passed how many of
+	// the packets before it its channel filter would deliver — what a
+	// clamp measures its jump against while the cursor is live. replay
+	// marks a cursor placed behind on purpose (a time-shifted join, a
+	// pause): it is paced by the token bucket tokens/tokensAt and never
+	// clamped until it reaches the head; paused stops it entirely.
+	// shiftMs is the granted shift, echoed on refresh acks.
+	cursor   uint64
+	passed   uint64
+	replay   bool
+	paused   bool
+	shiftMs  uint32
+	tokens   float64
+	tokensAt time.Time
 }
 
 // shard is one slice of the subscriber table with its own fan-out
@@ -439,7 +435,7 @@ type shard struct {
 	ownConn bool     // conn was attached by us and must be closed on Stop
 
 	mu      sync.Mutex
-	work    vclock.Cond // signaled when any queue becomes non-empty
+	work    vclock.Cond // signaled when the arrival sequence grows or a replay is armed
 	subs    map[lan.Addr]*subscriber
 	order   []*subscriber // insertion order, for deterministic fan-out
 	stopped bool
@@ -447,13 +443,18 @@ type shard struct {
 	// Per-shard pressure accounting (satellite to the lumped Stats
 	// totals): a hot shard shows up here before it shows up anywhere.
 	sent      int64 // unicast packets this shard's worker delivered
-	dropped   int64 // packets its queues dropped (drop-oldest)
-	queued    int   // packets currently queued across its subscribers
+	dropped   int64 // packets its subscribers were clamped past
+	queued    int   // packets between its live cursors and the head, as of the last settle
 	maxQueued int   // high-water mark of queued
 }
 
-// remove drops sub from the shard; caller holds sh.mu.
-func (sh *shard) remove(sub *subscriber) {
+// remove drops sub from the table and settles the per-tier and replay
+// gauges it was counted in; caller holds sh.mu.
+func (r *Relay) remove(sh *shard, sub *subscriber) {
+	r.profCount[sub.profile].Add(-1)
+	if sub.replay && !sub.paused {
+		r.catchupActive.Add(-1)
+	}
 	delete(sh.subs, sub.addr)
 	for i, s := range sh.order {
 		if s == sub {
@@ -461,16 +462,14 @@ func (sh *shard) remove(sub *subscriber) {
 			break
 		}
 	}
-	sh.queued -= len(sub.queue)
-	sub.queue = nil
 }
 
 // ShardStats is one shard's pressure snapshot.
 type ShardStats struct {
 	Shard       int   `json:"shard"`
 	Subscribers int   `json:"subscribers"`
-	Queued      int   `json:"queued"`     // packets waiting right now
-	MaxQueued   int   `json:"max_queued"` // high-water mark
+	Queued      int   `json:"queued"`     // packets between its live cursors and the head, as of the last sweep
+	MaxQueued   int   `json:"max_queued"` // high-water mark of Queued
 	Sent        int64 `json:"sent"`
 	Dropped     int64 `json:"dropped"`
 }
@@ -493,19 +492,18 @@ type Relay struct {
 	// and the sampled packet tracer. Always present — recording is a
 	// few atomic adds, cheap enough to leave compiled in.
 	flushLatency     *obs.Histogram // WriteBatch flush duration
-	queueResidency   *obs.Histogram // enqueue→gather time per packet
+	queueResidency   *obs.Histogram // arrival→gather time per packet
 	transcodeLatency *obs.Histogram // per-profile payload encode time
 	upRTT            *obs.Histogram // upstream Subscribe→SubAck RTT (chained)
 	leaseMargin      *obs.Histogram // upstream refresh margin (chained)
 	catchupLag       *obs.Histogram // DVR backlog packet age when served
 	tracer           *obs.Tracer
 
-	// Time-shift store (nil unless Config.DVR): the per-channel rings
-	// handlePacket records into before fanning out. catchupActive is
-	// the live count of subscribers replaying backlog (lock-free, like
-	// profCount, because converge/pause flips happen under shard locks
-	// while Stats() snapshots under r.mu).
-	dvr           *dvr.Store
+	// seq is the arrival sequence every subscriber is a cursor into.
+	// catchupActive is the live count of subscribers replaying backlog
+	// (lock-free, like profCount, because converge/pause flips happen
+	// under shard locks while Stats() snapshots under r.mu).
+	seq           sequence
 	catchupActive atomic.Int64
 
 	// Per-profile delivery state. profCount holds the live subscriber
@@ -577,7 +575,7 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	r.flushLatency = obs.NewHistogram("es_relay_flush_latency_seconds",
 		"WriteBatch flush duration, gather to syscall return", nil)
 	r.queueResidency = obs.NewHistogram("es_relay_queue_residency_seconds",
-		"time a packet waits in a subscriber queue before its worker gathers it", nil)
+		"time from a packet's arrival to a subscriber's shard worker gathering it", nil)
 	r.transcodeLatency = obs.NewHistogram("es_relay_transcode_latency_seconds",
 		"per-profile payload transcode time in the fan-out path", nil)
 	r.upRTT = obs.NewHistogram("es_relay_upstream_rtt_seconds",
@@ -587,8 +585,11 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	r.catchupLag = obs.NewHistogram("es_relay_dvr_catchup_lag_seconds",
 		"age of each DVR backlog packet when served to a catching-up subscriber", nil)
 	r.tracer = obs.NewTracer(cfg.TraceSample, cfg.TraceRing)
+	r.seq.chans = make(map[uint32]uint64)
+	r.seq.win = make([]atomic.Pointer[entry], cfg.QueueLen+1)
 	if cfg.DVR {
-		r.dvr = dvr.NewStore(clock, cfg.DVRDepth, 0)
+		r.seq.ring = dvr.NewRing(clock, cfg.DVRDepth, 0)
+		r.stats.DVRRings = 1
 	}
 	if cfg.Upstream != "" {
 		r.upstreamHost = cfg.Upstream.Host()
@@ -691,11 +692,12 @@ func (r *Relay) sourceHops() uint8 {
 }
 
 // Pressure computes the relay's 0-255 queue-pressure score from the
-// existing per-shard gauges: the fraction of aggregate queue capacity
-// currently occupied, scaled to 255 — except that any fanout drop
-// since the previous sample pins the score to maximum, because a relay
-// actively shedding packets is overloaded no matter what its queues
-// happen to hold at the instant of the sample. Each call consumes the
+// per-shard gauges: the fraction of the aggregate lag allowance
+// (subscribers x QueueLen) that live cursors currently use, scaled to
+// 255 — except that any fanout drop since the previous sample pins the
+// score to maximum, because a relay actively shedding packets is
+// overloaded no matter how far behind its subscribers happen to be at
+// the instant of the sample. Each call consumes the
 // drop delta, so the natural samplers (the catalog's announce cycle,
 // the shed check per admission batch) see a score that decays once the
 // dropping stops.
@@ -704,7 +706,7 @@ func (r *Relay) Pressure() uint8 {
 	var dropped int64
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		queued += sh.queued
+		queued += r.settle(sh)
 		capacity += len(sh.order) * r.cfg.QueueLen
 		dropped += sh.dropped
 		for _, sub := range sh.order {
@@ -783,7 +785,9 @@ func newPathID(addr lan.Addr) uint64 {
 }
 
 // Stats returns a snapshot of the accounting, folding in the upstream
-// lease counters for a chained relay.
+// lease counters for a chained relay, the receive socket's, and the
+// shards' drop counts (as of each subscriber's last visit by its worker
+// or by settle).
 func (r *Relay) Stats() Stats {
 	r.mu.Lock()
 	st := r.stats
@@ -801,6 +805,12 @@ func (r *Relay) Stats() Stats {
 		rs := rb.RecvBatchStats()
 		st.RecvBatches = rs.Batches
 		st.RecvBatchPackets = rs.Packets
+		st.RecvDropped = rs.Dropped
+	}
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		st.FanoutDropped += sh.dropped
+		sh.mu.Unlock()
 	}
 	st.DVRCatchupActive = r.catchupActive.Load()
 	return st
@@ -814,6 +824,8 @@ func (r *Relay) NumSubscribers() int {
 }
 
 // ShardStats returns every shard's pressure snapshot, in shard order.
+// It costs a scrape nothing per subscriber: the queue depths and drop
+// counts are those the last sweep (or Pressure, or Subscribers) settled.
 func (r *Relay) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(r.shards))
 	for i, sh := range r.shards {
@@ -872,6 +884,7 @@ func (r *Relay) Subscribers() []SubscriberInfo {
 	var out []SubscriberInfo
 	for _, sh := range r.shards {
 		sh.mu.Lock()
+		r.settle(sh)
 		for _, sub := range sh.order {
 			out = append(out, SubscriberInfo{
 				Addr:       sub.addr,
@@ -881,10 +894,10 @@ func (r *Relay) Subscribers() []SubscriberInfo {
 				ReqProfile: sub.reqProfile,
 				Sent:       sub.sent,
 				Dropped:    sub.dropped,
-				Queued:     len(sub.queue),
+				Queued:     r.backlog(sub),
 				Expires:    sub.expires,
 				Shift:      time.Duration(sub.shiftMs) * time.Millisecond,
-				CatchingUp: sub.catchup,
+				CatchingUp: sub.replay,
 				Paused:     sub.paused,
 			})
 		}
@@ -1078,17 +1091,6 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 			r.stats.UpstreamData++
 		}
 		r.mu.Unlock()
-		if r.dvr != nil {
-			// Record before fan-out: the seam between a catch-up replay
-			// and live delivery is exactly once only if every packet a
-			// converging cursor could miss is already in the ring by the
-			// time fanout can skip-or-enqueue its subscriber.
-			ring, created := r.dvr.Ring(ch)
-			ring.Append(pkt.Data, t == proto.TypeControl)
-			if created {
-				r.count(func(s *Stats) { s.DVRRings++ })
-			}
-		}
 		r.fanout(ch, pkt.Data)
 	case proto.TypeSubAck:
 		// Chained: our upstream answering our own lease. The lease layer
@@ -1352,6 +1354,29 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 			byShard[sh] = append(byShard[sh], i)
 		}
 	}
+	// holds reports whether a may act on sub's lease. In session mode
+	// the request must come from the identity that holds the lease, with
+	// a sequence the session has not seen: any valid credential can sign
+	// a packet claiming any source, so without these checks one
+	// subscriber could hijack or replay-extend another's session. A
+	// request that fails is dropped silently, like every auth failure.
+	holds := func(sub *subscriber, a *admission) bool {
+		switch {
+		case !a.session:
+			return true
+		case sub.identity != a.identity:
+			identityMismatch++
+			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(a.from), 0)
+		case a.seq <= sub.ctlSeq:
+			replays++
+			r.tracer.Drop(obs.PathControl, obs.ReasonStale, string(a.from), 0)
+		default:
+			sub.ctlSeq = a.seq
+			return true
+		}
+		a.send = false
+		return false
+	}
 	for sh, idxs := range byShard {
 		var inserts []int
 		now := r.clock.Now()
@@ -1375,25 +1400,8 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 			}
 			a.ack.LeaseMs = uint32(lease / time.Millisecond)
 			if sub, ok := sh.subs[a.from]; ok {
-				if a.session {
-					// The refresh must come from the identity that holds
-					// the lease, with a sequence the session has not seen:
-					// any valid credential can sign a packet claiming any
-					// source, so without these checks one subscriber could
-					// hijack or replay-extend another's session.
-					if sub.identity != a.identity {
-						identityMismatch++
-						a.send = false
-						r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(a.from), 0)
-						continue
-					}
-					if a.seq <= sub.ctlSeq {
-						replays++
-						a.send = false
-						r.tracer.Drop(obs.PathControl, obs.ReasonStale, string(a.from), 0)
-						continue
-					}
-					sub.ctlSeq = a.seq
+				if !holds(sub, a) {
+					continue
 				}
 				if sub.shedPending {
 					// The ladder ran out of rungs for this subscriber; a
@@ -1411,9 +1419,7 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 						a.ack.Status = proto.SubRedirect
 						a.ack.Redirect = to
 						a.ack.LeaseMs = 0
-						r.profCount[sub.profile].Add(-1)
-						r.dropCatchup(sub)
-						sh.remove(sub)
+						r.remove(sh, sub)
 						tierSheds++
 						continue
 					}
@@ -1421,7 +1427,14 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 				// Refresh: an established subscriber is served even when
 				// the relay is shedding — steering moves newcomers.
 				sub.expires = now.Add(lease)
-				sub.channel = a.req.Channel
+				if sub.channel != a.req.Channel {
+					// New filter, new numbering: what the old one still
+					// had waiting is no longer owed.
+					sub.channel = a.req.Channel
+					if !sub.replay {
+						r.goLive(sub)
+					}
+				}
 				sub.hops = a.req.Hops
 				sub.pathID = a.req.PathID
 				if prof := requestedProfile(a.req); prof != sub.reqProfile {
@@ -1437,7 +1450,7 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 				// pressure that may sit below the requested profile.
 				a.ack.Profile = uint8(sub.profile)
 				// The granted shift is decided at lease creation; a
-				// refresh echoes it without restarting the catch-up (or
+				// refresh echoes it without moving the cursor (or
 				// disturbing a pause taken across the refresh).
 				a.ack.ShiftMs = sub.shiftMs
 				refreshes++
@@ -1449,6 +1462,18 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 			r.mu.Lock()
 			for _, i := range inserts {
 				a := &admissions[i]
+				if sub, ok := sh.subs[a.from]; ok {
+					// A Subscribe and its retransmission gathered into one
+					// pass: the first created the lease a moment ago, so
+					// this one is the refresh it would have been in the
+					// next pass — never a second table entry.
+					if holds(sub, a) {
+						sub.expires = now.Add(time.Duration(a.ack.LeaseMs) * time.Millisecond)
+						a.ack.Profile, a.ack.ShiftMs = uint8(sub.profile), sub.shiftMs
+						refreshes++
+					}
+					continue
+				}
 				// Live re-check of the count threshold: r.nsubs is exact
 				// under r.mu, so admissions never pass the cap even when a
 				// single batch crosses it. Pressure stays per-pass — its
@@ -1484,13 +1509,14 @@ func (r *Relay) admitBatch(pkts []lan.Packet) {
 					profile: prof, reqProfile: prof, ladderAt: now,
 					expires: now.Add(time.Duration(a.ack.LeaseMs) * time.Millisecond),
 				}
+				r.goLive(sub)
 				r.profCount[prof].Add(1)
 				a.ack.Profile = uint8(prof)
-				if r.dvr != nil && a.req.ShiftMs != 0 {
+				if r.seq.ring != nil && a.req.ShiftMs != 0 {
 					r.grantShift(sub, a)
-					if sub.catchup {
-						// Catch-up is driven by the shard worker, which on a
-						// quiet channel may be parked with nothing to fan
+					if sub.replay {
+						// The replay is driven by the shard worker, which on
+						// a quiet channel may be parked with nothing to fan
 						// out. Wake it so the backlog starts flowing now
 						// rather than at the next live packet.
 						sh.work.Broadcast()
@@ -1609,9 +1635,7 @@ func (r *Relay) revokeLease(a *admission) (mismatch, replay bool) {
 		}
 	}
 	if ok {
-		r.profCount[sub.profile].Add(-1)
-		r.dropCatchup(sub)
-		sh.remove(sub)
+		r.remove(sh, sub)
 	}
 	sh.mu.Unlock()
 	if ok {
@@ -1712,6 +1736,7 @@ func (r *Relay) subscribe(addr lan.Addr, req *proto.Subscribe, lease time.Durati
 		profile: prof, reqProfile: prof, ladderAt: now,
 		expires: expires,
 	}
+	r.goLive(sub)
 	r.profCount[prof].Add(1)
 	sh.subs[addr] = sub
 	sh.order = append(sh.order, sub)
@@ -1744,289 +1769,7 @@ func (r *Relay) pathInfo() (uint8, uint64) {
 	return hops, pathID
 }
 
-// unsubscribe cancels a lease if present.
-func (r *Relay) unsubscribe(addr lan.Addr) {
-	sh := r.shardFor(addr)
-	sh.mu.Lock()
-	sub, ok := sh.subs[addr]
-	if ok {
-		r.profCount[sub.profile].Add(-1)
-		r.dropCatchup(sub)
-		sh.remove(sub)
-	}
-	sh.mu.Unlock()
-	if ok {
-		r.mu.Lock()
-		r.stats.Unsubscribes++
-		r.nsubs--
-		r.mu.Unlock()
-	}
-}
-
-// fanout enqueues one upstream packet to every subscriber leased to
-// its channel, applying drop-oldest backpressure per subscriber queue.
-// ch is the packet's channel id (already parsed by handlePacket): a
-// subscriber leased to channel X on a relay carrying a multi-channel
-// group must never receive channel Y. The per-profile payload variants
-// are built first, outside every shard lock, once per active profile —
-// each subscriber then just picks its tier's bytes (falling back to
-// the source payload when its tier cannot serve this stream).
-func (r *Relay) fanout(ch uint32, data []byte) {
-	payloads := r.buildProfilePayloads(ch, data)
-	now := time.Now() // one residency stamp per fan-out, not per subscriber
-	var dropped int64
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, sub := range sh.order {
-			if sub.channel != 0 && sub.channel != ch {
-				continue
-			}
-			if sub.catchup || sub.paused {
-				// Fed from the DVR ring (or parked) — and this packet is
-				// already in the ring, appended before fanout ran.
-				continue
-			}
-			if len(sub.queue) >= r.cfg.QueueLen {
-				// Drop the oldest packet: live audio wants fresh data,
-				// and the sync logic discards stale batches anyway.
-				copy(sub.queue, sub.queue[1:])
-				sub.queue = sub.queue[:len(sub.queue)-1]
-				sub.dropped++
-				sh.dropped++
-				sh.queued--
-				dropped++
-				r.tracer.Drop(obs.PathFanout, obs.ReasonQueueFull, string(sub.addr), ch)
-			}
-			pd, pf := payloads[sub.profile], sub.profile
-			if pd == nil {
-				pd, pf = data, codec.ProfileSource
-			}
-			sub.queue = append(sub.queue, queued{data: pd, prof: pf, at: now})
-			sh.queued++
-		}
-		if sh.queued > sh.maxQueued {
-			sh.maxQueued = sh.queued
-		}
-		if len(sh.order) > 0 {
-			sh.work.Broadcast()
-		}
-		sh.mu.Unlock()
-	}
-	if dropped > 0 {
-		r.count(func(s *Stats) { s.FanoutDropped += dropped })
-	}
-}
-
-// flushTrigger names what caused a batch flush.
-type flushTrigger int
-
-const (
-	flushSize     flushTrigger = iota // batch reached cfg.Batch
-	flushDeadline                     // partial batch aged out (FlushInterval)
-	flushQuiesce                      // relay stopping; drain what's left
-)
-
-// shardWorker drains its shard's subscriber queues into lan.Datagram
-// batches: round-robin across subscribers for fairness, per-subscriber
-// FIFO so a subscriber's stream is never reordered, and — the delivery
-// groups — profile-major within each gather pass, so subscribers on one
-// tier land contiguously and flush sends one WriteBatch per group of
-// identical payloads. A batch flushes when full (size), when a partial
-// batch has waited FlushInterval for company (deadline), or when the
-// relay stops (quiesce). The actual sends happen outside the shard lock.
-func (r *Relay) shardWorker(sh *shard) {
-	defer func() {
-		if sh.ownConn {
-			sh.conn.Close()
-		}
-		r.mu.Lock()
-		r.workersDone++
-		r.workersIdle.Broadcast()
-		r.mu.Unlock()
-	}()
-	maxBatch := r.cfg.Batch
-	dgs := lan.GetBatch() // reuse pool: zero steady-state allocation
-	defer func() { lan.PutBatch(dgs) }()
-	var owners []*subscriber  // owners[i] is the subscriber behind dgs[i]
-	var profs []codec.Profile // profs[i] is dgs[i]'s delivery group
-	for {
-		dgs = dgs[:0]
-		owners = owners[:0]
-		profs = profs[:0]
-		var deadline time.Time
-		trigger := flushQuiesce
-		sh.mu.Lock()
-		for {
-			// Gather: at most one queued packet per subscriber per profile
-			// per pass, oldest first, until the batch fills or the queues
-			// drain. The profile-major order is what makes each group one
-			// contiguous run of identical payloads; per-subscriber FIFO
-			// holds because only queue heads are taken and the profile
-			// loop ascends while a queue's head can match at most once.
-			// One wall-clock read serves the whole pass's residency math.
-			progress := false
-			var now time.Time
-			for p := codec.Profile(0); p.Valid() && len(dgs) < maxBatch; p++ {
-				for _, sub := range sh.order {
-					if len(dgs) >= maxBatch {
-						break
-					}
-					if len(sub.queue) == 0 || sub.queue[0].prof != p {
-						continue
-					}
-					q := sub.queue[0]
-					copy(sub.queue, sub.queue[1:])
-					sub.queue = sub.queue[:len(sub.queue)-1]
-					sh.queued--
-					if now.IsZero() {
-						now = time.Now()
-					}
-					r.queueResidency.Observe(now.Sub(q.at))
-					dgs = append(dgs, lan.Datagram{To: sub.addr, Data: q.data})
-					owners = append(owners, sub)
-					profs = append(profs, p)
-					progress = true
-				}
-			}
-			var dvrWait time.Duration
-			if r.dvr != nil && len(dgs) < maxBatch && !sh.stopped {
-				var dvrProgress bool
-				dvrProgress, dvrWait = r.gatherCatchup(sh, &dgs, &owners, &profs, maxBatch)
-				progress = progress || dvrProgress
-			}
-			if len(dgs) >= maxBatch {
-				trigger = flushSize
-				break
-			}
-			if sh.stopped {
-				trigger = flushQuiesce
-				break
-			}
-			if progress {
-				continue // queues may hold more packets
-			}
-			if len(dgs) > 0 {
-				// Partial batch and nothing queued: linger briefly for
-				// more work, but never past the flush deadline.
-				if deadline.IsZero() {
-					deadline = r.clock.Now().Add(r.cfg.FlushInterval)
-				}
-				remain := deadline.Sub(r.clock.Now())
-				if remain <= 0 || !sh.work.WaitTimeout(&sh.mu, remain) {
-					trigger = flushDeadline
-					break
-				}
-				continue
-			}
-			if dvrWait > 0 {
-				// Token-starved catch-up and nothing else to do: sleep
-				// until the bucket refills rather than waiting for a
-				// signal that may never come.
-				sh.work.WaitTimeout(&sh.mu, dvrWait)
-				continue
-			}
-			sh.work.Wait(&sh.mu)
-		}
-		stopped := sh.stopped
-		sh.mu.Unlock()
-		if len(dgs) > 0 {
-			r.flush(sh, dgs, owners, profs, trigger)
-		}
-		if stopped && len(dgs) == 0 {
-			return
-		}
-	}
-}
-
-// groupByDest stable-sorts one delivery group and its owners by
-// destination: a subscriber owed several packets of one tier ends up
-// with them adjacent (and, stable, still in FIFO order), which is the
-// run shape the GSO backend coalesces into a single kernel send.
-type groupByDest struct {
-	dgs    []lan.Datagram
-	owners []*subscriber
-}
-
-func (g groupByDest) Len() int           { return len(g.dgs) }
-func (g groupByDest) Less(i, j int) bool { return g.dgs[i].To < g.dgs[j].To }
-func (g groupByDest) Swap(i, j int) {
-	g.dgs[i], g.dgs[j] = g.dgs[j], g.dgs[i]
-	g.owners[i], g.owners[j] = g.owners[j], g.owners[i]
-}
-
-// flush sends one gathered batch through the shard's socket as one
-// WriteBatch per delivery group — each contiguous same-profile run the
-// gather produced — and settles the accounting. With GSO configured
-// each group is additionally sorted by destination first, so same-size
-// packets owed to one subscriber coalesce into UDP_SEGMENT sends.
-func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, profs []codec.Profile, trigger flushTrigger) {
-	t0 := time.Now()
-	first, size := dgs[0].To, len(dgs)
-	var sent, errs, groups int64
-	for len(dgs) > 0 {
-		n := 1
-		for n < len(dgs) && profs[n] == profs[0] {
-			n++
-		}
-		if r.cfg.GSO && n > 1 {
-			sort.Stable(groupByDest{dgs: dgs[:n], owners: owners[:n]})
-		}
-		gs, ge := r.sendGroup(sh, dgs[:n], owners[:n])
-		sent += gs
-		errs += ge
-		groups++
-		dgs, owners, profs = dgs[n:], owners[n:], profs[n:]
-	}
-	r.flushLatency.Observe(time.Since(t0))
-	r.tracer.Send(obs.PathFanout, string(first), 0, size)
-	r.count(func(s *Stats) {
-		s.FanoutSent += sent
-		s.SendErrors += errs
-		s.Batches += groups
-		switch trigger {
-		case flushSize:
-			s.FlushSize++
-		case flushDeadline:
-			s.FlushDeadline++
-		case flushQuiesce:
-			s.FlushQuiesce++
-		}
-	})
-}
-
-// sendGroup delivers one delivery group. WriteBatch has prefix
-// semantics — datagrams before the first error were handed to the
-// substrate, the rest were not — so on a partial send the failing
-// datagram is skipped and the remainder retried: one subscriber with a
-// poisoned path (ICMP-refused port, firewall EPERM) must not starve
-// the subscribers batched after it.
-func (r *Relay) sendGroup(sh *shard, dgs []lan.Datagram, owners []*subscriber) (sent, errs int64) {
-	for len(dgs) > 0 {
-		n, err := lan.WriteBatch(sh.conn, dgs)
-		if n > len(dgs) {
-			n = len(dgs) // defensive: prefix contract
-		}
-		sh.mu.Lock()
-		for _, sub := range owners[:n] {
-			sub.sent++
-		}
-		sh.sent += int64(n)
-		sh.mu.Unlock()
-		sent += int64(n)
-		dgs, owners = dgs[n:], owners[n:]
-		if err == nil {
-			break
-		}
-		if len(dgs) > 0 { // skip the datagram that errored, keep going
-			r.tracer.Drop(obs.PathFanout, obs.ReasonSendError, string(dgs[0].To), 0)
-			dgs, owners = dgs[1:], owners[1:]
-		}
-		errs++
-	}
-	return sent, errs
-}
-
-// sweep expires silent subscribers and frees their queues; with the
+// sweep expires silent subscribers; with the
 // ladder enabled it is also the quality controller's clock, stepping
 // each shard's subscribers down under sustained drops and back up
 // after a drop-free dwell (see ladderStep).
@@ -2042,12 +1785,11 @@ func (r *Relay) sweep() {
 			sh.mu.Lock()
 			for _, sub := range append([]*subscriber(nil), sh.order...) {
 				if !sub.expires.After(now) {
-					r.profCount[sub.profile].Add(-1)
-					r.dropCatchup(sub)
-					sh.remove(sub)
+					r.remove(sh, sub)
 					expired++
 				}
 			}
+			r.settle(sh) // charge what a stalled worker has not got to
 			if r.cfg.Ladder {
 				d, u := r.ladderStep(sh, now)
 				down += d

@@ -41,6 +41,28 @@ func subscribePkt(t *testing.T, from lan.Addr, channel, seq, leaseMs uint32) lan
 	return lan.Packet{From: from, To: "10.0.0.1:5006", Data: data}
 }
 
+// drain plays shard worker by hand (the white-box tests run none):
+// gather passes over every shard until one takes nothing, without
+// flushing. It returns what each subscriber would have been sent, in
+// order.
+func drain(r *Relay) map[lan.Addr][][]byte {
+	out := make(map[lan.Addr][][]byte)
+	for _, sh := range r.shards {
+		b := &batch{slots: make([][]byte, 4096)}
+		sh.mu.Lock()
+		for {
+			if progress, _ := r.gather(sh, b); !progress {
+				break
+			}
+		}
+		sh.mu.Unlock()
+		for _, d := range b.dgs {
+			out[d.To] = append(out[d.To], d.Data)
+		}
+	}
+	return out
+}
+
 func TestRejectsNonMulticastGroup(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	seg := lan.NewSegment(sim, lan.SegmentConfig{})
@@ -80,6 +102,30 @@ func TestSubscribeRefreshUnsubscribe(t *testing.T) {
 	st := r.Stats()
 	if st.Subscribes != 2 || st.Refreshes != 1 || st.Unsubscribes != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSubscribeRetransmittedInOnePass: a Subscribe and its
+// retransmission gathered into one admission pass (a lease client's
+// retry after a relay stall does it) are one lease — the second is the
+// refresh it would have been a pass later. Inserting both leaked a table
+// slot and left an orphan in the shard's order whose expiry deleted the
+// live entry's map key.
+func TestSubscribeRetransmittedInOnePass(t *testing.T) {
+	_, _, r := newTestRelay(t, Config{})
+	r.admitBatch([]lan.Packet{
+		subscribePkt(t, "10.0.0.2:5004", 0, 1, 10000),
+		subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000),
+	})
+	if n, subs := r.NumSubscribers(), r.Subscribers(); n != 1 || len(subs) != 1 {
+		t.Fatalf("one address leased twice: count %d, table %+v", n, subs)
+	}
+	if st := r.Stats(); st.Subscribes != 1 || st.Refreshes != 1 {
+		t.Fatalf("stats = %+v, want 1 subscribe and 1 refresh", st)
+	}
+	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 3, 0))
+	if n, subs := r.NumSubscribers(), r.Subscribers(); n != 0 || len(subs) != 0 {
+		t.Fatalf("after the cancel: count %d, table %+v, want an empty table", n, subs)
 	}
 }
 
@@ -125,7 +171,7 @@ func TestFanoutDropOldest(t *testing.T) {
 	if !r.subscribe("10.0.0.2:5004", &proto.Subscribe{Channel: 0}, time.Minute) {
 		t.Fatal("subscribe failed")
 	}
-	// No worker is running: queue fills, then drop-oldest kicks in.
+	// No worker is running: the cursor lags, then the clamp kicks in.
 	for i := 0; i < 10; i++ {
 		r.fanout(0, []byte{byte(i)})
 	}
@@ -143,14 +189,10 @@ func TestFanoutDropOldest(t *testing.T) {
 		t.Errorf("stats dropped = %d, want 6", st.FanoutDropped)
 	}
 	// The survivors are the newest packets, oldest first.
-	sh := r.shardFor("10.0.0.2:5004")
-	sh.mu.Lock()
-	q := sh.subs["10.0.0.2:5004"].queue
 	var got []byte
-	for _, p := range q {
-		got = append(got, p.data[0])
+	for _, p := range drain(r)["10.0.0.2:5004"] {
+		got = append(got, p[0])
 	}
-	sh.mu.Unlock()
 	if string(got) != string([]byte{6, 7, 8, 9}) {
 		t.Errorf("queue = %v, want [6 7 8 9]", got)
 	}
