@@ -364,7 +364,14 @@ func recordBenchRow(b *testing.B, name string, row any) {
 	}
 }
 
-func benchRelayFanout(b *testing.B, subscribers, batch, hops int, auth security.Authenticator, profiles []codec.Profile) {
+func benchRelayFanout(b *testing.B, subscribers, batch, hops int, auth *security.HMACAuth, profiles []codec.Profile) {
+	// The shared key is both sides of the control plane; a nil key must
+	// stay a nil interface in the relay configs below.
+	var relayAuth security.RelayAuthenticator
+	var clientAuth security.Authenticator
+	if auth != nil {
+		relayAuth, clientAuth = auth, auth
+	}
 	var sent, dropped, scrapes int64
 	var encodes, upData int64
 	var active time.Duration // wall time of the fan-out window only
@@ -383,7 +390,7 @@ func benchRelayFanout(b *testing.B, subscribers, batch, hops int, auth security.
 			Group: "239.72.1.1:5004", Channel: 1,
 			Batch:          batch,
 			MaxSubscribers: subscribers,
-			Auth:           auth,
+			Auth:           relayAuth,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -395,7 +402,8 @@ func benchRelayFanout(b *testing.B, subscribers, batch, hops int, auth security.
 				Upstream: r.Addr(), Channel: 1,
 				Batch:          batch,
 				MaxSubscribers: subscribers,
-				Auth:           auth,
+				Auth:           relayAuth,
+				UpstreamAuth:   clientAuth,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -634,9 +642,9 @@ func benchUDPBatch(b *testing.B, gso bool) {
 // crowd: 2,000 signed Subscribes arrive in the same instant and the
 // benchmark times the wall clock until every one holds a lease.
 // admit=1 is the per-packet baseline (each Subscribe verified, acked,
-// and inserted alone); admit=256 is the batched path (one
-// BatchAuthenticator pass per gather, coalesced SubAck signing, one
-// shard-lock acquisition per shard per pass, one WriteBatch). The
+// and inserted alone); admit=256 is the batched path (one verify call
+// per gather, one SubAck-signing call, one shard-lock acquisition per
+// shard per pass, one WriteBatch). The
 // auth=ident row reruns the batched storm with per-subscriber
 // credentials — every Subscribe signed by a distinct identity,
 // batch-verified under per-identity keys with the source bound in —
@@ -666,11 +674,13 @@ type stormRow struct {
 }
 
 func benchJoinStorm(b *testing.B, subscribers, admitBatch int, scheme string) {
-	var auth security.Authenticator
+	var auth security.RelayAuthenticator
+	var shared *security.HMACAuth
 	var ring *security.Keyring
 	switch scheme {
 	case "hmac":
-		auth = security.NewHMAC([]byte("bench control key"))
+		shared = security.NewHMAC([]byte("bench control key"))
+		auth = shared
 	case "ident":
 		ring = security.NewKeyring([]byte("bench master key"))
 		auth = ring.Relay()
@@ -718,7 +728,7 @@ func benchJoinStorm(b *testing.B, subscribers, admitBatch int, scheme string) {
 				reqs[s] = signer.Sign(sub)
 			}
 		} else {
-			signed := auth.Sign(sub)
+			signed := shared.Sign(sub)
 			for s := range reqs {
 				reqs[s] = signed
 			}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -33,49 +32,27 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rebroadcast"
 	"repro/internal/relay"
-	"repro/internal/security"
 	"repro/internal/vad"
 	"repro/internal/vclock"
 )
 
 func main() {
-	var (
-		group    = flag.String("group", "239.72.1.1:5004", "multicast group to transmit on")
-		local    = flag.String("local", "0.0.0.0:0", "local bind address")
-		id       = flag.Uint("id", 1, "channel id")
-		name     = flag.String("name", "channel", "channel name")
-		codecN   = flag.String("codec", "", "codec (raw|ulaw|ovl); empty = automatic by bitrate")
-		quality  = flag.Int("quality", 10, "ovl quality index 0..10")
-		rate     = flag.Int("rate", 44100, "sample rate of stdin PCM")
-		channels = flag.Int("channels", 2, "channels of stdin PCM")
-		wav      = flag.Bool("wav", false, "parse stdin as a WAV file instead of raw PCM")
-		opsAddr  = flag.String("ops-addr", "", "ops HTTP endpoint: /metrics, /snapshot, /healthz, /debug/pprof (empty = off)")
-		dvrOn    = flag.Bool("dvr", false, "embed a time-shift (DVR) relay: it records this channel and serves shifted and pause/resume subscribers at -dvr-listen")
-		dvrAddr  = flag.String("dvr-listen", "0.0.0.0:5007", "unicast address the embedded DVR relay leases subscribers from (with -dvr)")
-		dvrDepth = flag.Duration("dvr-depth", 0, "recorded history in the embedded relay's ring (0 = the built-in 30s default; with -dvr)")
-		dvrBurst = flag.Int("dvr-burst", 0, "catch-up delivery rate in packets/s per subscriber (0 = the built-in default; with -dvr)")
-		authFlag = flag.String("auth", "none", "control-plane auth for the embedded DVR relay: none, hmac, or ident (per-subscriber credentials) with -key-file")
-		keyFile  = flag.String("key-file", "", "file holding the control-plane key: the shared key (-auth hmac) or the chain master key (-auth ident); with -dvr")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // flag package already printed the problem
+	}
 	log.SetPrefix("rebroadcastd: ")
 	log.SetFlags(0)
 
 	clock := vclock.System
 	net := &lan.UDPNetwork{}
-	conn, err := net.Attach(lan.Addr(*local))
+	conn, err := net.Attach(lan.Addr(o.local))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
 
-	reb, err := rebroadcast.New(clock, conn, rebroadcast.Config{
-		ID:      uint32(*id),
-		Name:    *name,
-		Group:   lan.Addr(*group),
-		Codec:   *codecN,
-		Quality: *quality,
-	})
+	reb, err := rebroadcast.New(clock, conn, o.rebroadcastConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,36 +63,29 @@ func main() {
 	// resume) leases the backlog from -dvr-listen — time-shifted
 	// delivery at the source, with no separate relayd to deploy.
 	var dvrRelay *relay.Relay
-	if *dvrOn {
-		auth, _, err := security.LoadRelayAuth(*authFlag, *keyFile)
+	if o.dvr {
+		cfg, err := o.dvrRelayConfig()
 		if err != nil {
 			log.Fatal(err)
 		}
-		rconn, err := net.Attach(lan.Addr(*dvrAddr))
+		rconn, err := net.Attach(lan.Addr(o.dvrAddr))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer rconn.Close()
-		dvrRelay, err = relay.New(clock, rconn, relay.Config{
-			Group:    lan.Addr(*group),
-			Channel:  uint32(*id),
-			Auth:     auth,
-			DVR:      true,
-			DVRDepth: *dvrDepth,
-			DVRBurst: *dvrBurst,
-		})
+		dvrRelay, err = relay.New(clock, rconn, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		clock.Go("dvr-relay", dvrRelay.Run)
 		defer dvrRelay.Stop()
 		log.Printf("time-shift relay at %s", dvrRelay.Addr())
-		if auth != nil {
-			log.Printf("DVR control plane authenticated (%s); unsigned subscribes are dropped silently", auth.Scheme())
+		if cfg.Auth != nil {
+			log.Printf("DVR control plane authenticated (%s); unsigned requests are dropped silently", cfg.Auth.Scheme())
 		}
 	}
 
-	if *opsAddr != "" {
+	if o.opsAddr != "" {
 		reg := obs.NewRegistry()
 		// The rebroadcaster's stats carry no mib tags (it has no MIB);
 		// StructCounters falls back to es_reb_<snake_case> names.
@@ -125,12 +95,12 @@ func main() {
 		}
 		reg.Info("es_reb_info", "rebroadcaster identity", func() []obs.KV {
 			return []obs.KV{
-				{Key: "name", Value: *name},
-				{Key: "group", Value: *group},
-				{Key: "channel", Value: fmt.Sprint(*id)},
+				{Key: "name", Value: o.name},
+				{Key: "group", Value: o.group},
+				{Key: "channel", Value: fmt.Sprint(o.id)},
 			}
 		})
-		srv, err := obs.Serve(*opsAddr, reg)
+		srv, err := obs.Serve(o.opsAddr, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -146,12 +116,12 @@ func main() {
 	})
 
 	params := audio.Params{
-		SampleRate: *rate,
-		Channels:   *channels,
+		SampleRate: o.rate,
+		Channels:   o.channels,
 		Encoding:   audio.EncodingSLinear16LE,
 	}
 	in := bufio.NewReaderSize(os.Stdin, 1<<16)
-	if *wav {
+	if o.wav {
 		p, samples, err := audio.ReadWAV(in)
 		if err != nil {
 			log.Fatalf("reading WAV: %v", err)

@@ -97,7 +97,7 @@ func parseFlags(args []string) (*options, error) {
 // to relay.New. auth, upstreamAuth, and sourceHops arrive resolved —
 // key loading and catalog discovery are side effects the flag layer
 // stays out of.
-func (o *options) relayConfig(auth, upstreamAuth security.Authenticator, sourceHops int) relay.Config {
+func (o *options) relayConfig(auth security.RelayAuthenticator, upstreamAuth security.Authenticator, sourceHops int) relay.Config {
 	cfg := relay.Config{
 		Group:           lan.Addr(o.group),
 		Upstream:        lan.Addr(o.upstream),

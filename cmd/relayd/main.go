@@ -131,6 +131,11 @@ func main() {
 		}
 		upstreamAuth = ring.SignerAt(uint32(o.identity), string(lan.Addr(o.listen)),
 			uint64(time.Now().UnixNano()))
+	} else if o.upstream != "" {
+		// A shared key is the same on both sides of the lease.
+		if upstreamAuth, err = security.LoadControlAuth(o.auth, o.keyFile); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	sourceHops := 0

@@ -5,4 +5,8 @@
 // skeleton /etc — machine-specific files overwrite the common ones. The
 // boot server's public key lives in the ramdisk, standing in for the ssh
 // host keys the paper bakes in for scp.
+//
+// It is a standalone §2.4 artefact: nothing else in the module imports
+// it — the daemons take their configuration from flags and key files —
+// and its own tests are its only caller.
 package boot

@@ -66,7 +66,7 @@ func e14Run(clip time.Duration) E14Result {
 	if err != nil {
 		return res
 	}
-	r2, err := sys.AddRelay(relay.Config{Upstream: r1.Addr(), Channel: 1, Auth: auth})
+	r2, err := sys.AddRelay(relay.Config{Upstream: r1.Addr(), Channel: 1, Auth: auth, UpstreamAuth: auth})
 	if err != nil {
 		return res
 	}

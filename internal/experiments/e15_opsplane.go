@@ -86,7 +86,7 @@ func e15Run(clip time.Duration) E15Result {
 	if err != nil {
 		return res
 	}
-	r2, err := sys.AddRelay(relay.Config{Upstream: r1.Addr(), Channel: 1, Auth: auth, TraceSample: 1})
+	r2, err := sys.AddRelay(relay.Config{Upstream: r1.Addr(), Channel: 1, Auth: auth, UpstreamAuth: auth, TraceSample: 1})
 	if err != nil {
 		return res
 	}

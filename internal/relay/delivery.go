@@ -11,7 +11,6 @@ import (
 	"repro/internal/lan"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/security"
 )
 
 // Delivery: one arrival sequence, many cursors. The relay numbers every
@@ -472,132 +471,47 @@ func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigg
 // full (deeper than the recorded history, or nothing recorded at all) is
 // clamped and counted, as is a wildcard Subscribe on a wildcard relay,
 // which names no stream to be shifted on and is granted live. Caller
-// holds sh.mu and r.mu.
-func (r *Relay) grantShift(sub *subscriber, a *admission) {
-	if a.req.Channel == 0 && r.cfg.Channel == 0 {
-		r.stats.DVRClamped++
+// holds sh.mu.
+func (r *Relay) grantShift(sh *shard, sub *subscriber, q *request, t *tally) {
+	if q.sub.Channel == 0 && r.cfg.Channel == 0 {
+		t.dvrClamped++
 		return
 	}
-	start, granted, clamped := r.seq.ring.Clamp(time.Duration(a.req.ShiftMs) * time.Millisecond)
+	start, granted, clamped := r.seq.ring.Clamp(time.Duration(q.sub.ShiftMs) * time.Millisecond)
 	if clamped {
-		r.stats.DVRClamped++
+		t.dvrClamped++
 	}
 	sub.shiftMs = uint32(granted / time.Millisecond)
-	a.ack.ShiftMs = sub.shiftMs
+	q.ack.ShiftMs = sub.shiftMs
 	if granted <= 0 {
 		return // quiet stream: nothing to replay, start live
 	}
 	sub.cursor, sub.replay = start, true
 	r.catchupActive.Add(1)
+	// The replay is driven by the shard worker, which on a quiet channel
+	// may be parked with nothing to fan out. Wake it so the backlog
+	// starts flowing now rather than at the next live packet.
+	sh.work.Broadcast()
 }
 
-// handlePause applies one Pause packet. A pause is a cursor that does
-// not advance: it stays where the live stream, or a replay, had reached
-// and nothing is delivered; resume feeds everything recorded since from
-// there at the bounded burst rate. The packet is verified exactly like
-// a Subscribe — pause creates server-side replay state, so a forged
-// pause from a spoofed source must not be able to silence or redirect a
-// subscriber's stream. Verification proves the packet was once genuine,
-// not that it is fresh, so the seq is enforced too: a pause must carry
-// a seq above every pause this lease has already consumed, closing the
-// capture-and-replay variant of the same attack (an on-path recorder
-// re-parking the subscriber with an old signed pause for as long as the
-// lease keeps refreshing). The channel must name the leased channel (0
-// is a wildcard) — a pause addressed to some other channel leaves this
-// lease alone.
-func (r *Relay) handlePause(pkt lan.Packet) {
-	data := pkt.Data
-	var identity uint32
-	var seq uint64
-	session := false
-	if sa, ok := r.cfg.Auth.(security.SessionAuthenticator); ok {
-		// Per-subscriber identity: verified under the claimed identity's
-		// credential with the UDP source bound in; the identity and
-		// trailer sequence are then checked against the lease below.
-		data, identity, seq, ok = sa.VerifySession(pkt.Data, string(pkt.From))
-		if !ok {
-			r.count(func(s *Stats) { s.AuthDropped++ })
-			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(pkt.From), 0)
-			return
-		}
-		session = true
-	} else if r.cfg.Auth != nil {
-		var ok bool
-		data, ok = r.cfg.Auth.Verify(pkt.Data)
-		if !ok {
-			r.count(func(s *Stats) { s.AuthDropped++ })
-			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(pkt.From), 0)
-			return
-		}
-	}
-	p, err := proto.UnmarshalPause(data)
-	if err != nil {
-		r.count(func(s *Stats) { s.Malformed++ })
-		r.tracer.Drop(obs.PathControl, obs.ReasonMalformed, string(pkt.From), 0)
-		return
-	}
-	if r.seq.ring == nil {
-		return // not recording: nothing to replay on resume
-	}
-	sh := r.shardFor(pkt.From)
-	var dropReason obs.Reason
-	var mismatch, replay bool
-	sh.mu.Lock()
-	sub, ok := sh.subs[pkt.From]
-	var ch uint32
-	if ok {
-		if ch = sub.channel; ch == 0 {
-			ch = r.cfg.Channel
-		}
-	}
-	// The session sequence to consume: the identity trailer's in session
-	// mode (shared by every control action on this lease), the pause
-	// body's otherwise.
-	nseq := uint64(p.Seq)
-	if session {
-		nseq = seq
-	}
+// setPaused parks or resumes sub's cursor on behalf of a Pause the
+// control pipeline has verified and matched to the lease (admission.go).
+// A pause is a cursor that does not advance: it stays where the live
+// stream, or a replay, had reached and nothing is delivered; resume
+// feeds everything recorded since from there at the bounded burst rate.
+// Pausing the paused, or resuming the running, changes nothing. Caller
+// holds sh.mu.
+func (r *Relay) setPaused(sh *shard, sub *subscriber, paused bool) {
 	switch {
-	case !ok:
-		// No lease, nothing to pause.
-	case session && sub.identity != identity:
-		// Signed by some valid credential, but not this lease's: a
-		// forged cross-subscriber pause.
-		mismatch = true
-		dropReason = obs.ReasonAuth
-	case p.Channel != 0 && ch != 0 && p.Channel != ch:
-		// Addressed to a channel this lease does not carry.
-		dropReason = obs.ReasonChannelFilter
-	case nseq <= sub.ctlSeq:
-		// Replay or reorder of an already-consumed control action.
-		replay = session
-		dropReason = obs.ReasonStale
-	case p.Paused && !sub.paused:
-		sub.ctlSeq = nseq
+	case paused && !sub.paused:
 		if sub.replay {
 			r.catchupActive.Add(-1)
 		}
 		sub.replay, sub.paused = true, true
-	case !p.Paused && sub.paused:
-		sub.ctlSeq = nseq
+	case !paused && sub.paused:
 		sub.paused = false
 		r.catchupActive.Add(1)
 		sh.work.Broadcast() // wake the worker: the replay starts now
-	default:
-		// State-wise a no-op (pause while paused, resume while live),
-		// but the seq is still consumed: a duplicate of this packet
-		// must not be replayable later, after the state has moved.
-		sub.ctlSeq = nseq
-	}
-	sh.mu.Unlock()
-	if mismatch {
-		r.count(func(s *Stats) { s.IdentityMismatch++ })
-	}
-	if replay {
-		r.count(func(s *Stats) { s.ReplayDropped++ })
-	}
-	if dropReason != obs.ReasonNone {
-		r.tracer.Drop(obs.PathControl, dropReason, string(pkt.From), p.Channel)
 	}
 }
 

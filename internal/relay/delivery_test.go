@@ -89,7 +89,7 @@ func TestDVRShiftGrantAndClamp(t *testing.T) {
 	sim, _, r := newTestRelay(t, Config{Channel: 1, DVR: true, DVRDepth: 4 * time.Second})
 	sim.Go("test", func() {
 		// Nothing recorded yet: live grant, clamp counted.
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 9_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 9_000))
 		subs := r.Subscribers()
 		if len(subs) != 1 || subs[0].Shift != 0 || subs[0].CatchingUp {
 			t.Errorf("quiet-channel grant = %+v, want live with zero shift", subs)
@@ -101,7 +101,7 @@ func TestDVRShiftGrantAndClamp(t *testing.T) {
 		feedStream(t, r, 1, 2) // 2 s recorded, depth 4 s
 
 		// Deeper than what exists: clamped to the oldest entry.
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.3:5004", 1, 1, 60_000, 60_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.3:5004", 1, 1, 60_000, 60_000))
 		subs = r.Subscribers()
 		if len(subs) != 2 {
 			t.Fatalf("subscribers = %d", len(subs))
@@ -116,7 +116,7 @@ func TestDVRShiftGrantAndClamp(t *testing.T) {
 		}
 
 		// Satisfiable: granted at least the ask, no clamp.
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.4:5004", 1, 1, 60_000, 1_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.4:5004", 1, 1, 60_000, 1_000))
 		subs = r.Subscribers()
 		ok := subs[2]
 		if !ok.CatchingUp || ok.Shift < time.Second {
@@ -146,7 +146,7 @@ func TestDVRRingWrapMidCatchupEvicts(t *testing.T) {
 			r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dataPkt(t, 1, 1, i, 320)})
 			sim.Sleep(100 * time.Millisecond)
 		}
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 500))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 500))
 		if subs := r.Subscribers(); len(subs) != 1 || !subs[0].CatchingUp {
 			t.Fatalf("subscriber not catching up: %+v", subs)
 		}
@@ -187,8 +187,8 @@ func TestDVRCatchupNeverBlocksWorker(t *testing.T) {
 	sim, _, r := newTestRelay(t, Config{Channel: 1, DVR: true, DVRBurst: 1, Shards: 1, QueueLen: 16})
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 1)
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
-		r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 1, 1, 60_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
+		r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 1, 1, 60_000))
 
 		gather := func() (int, time.Duration) { return gatherOnce(r, "10.0.0.2:5004", nil) }
 		// First pass spends the single seed token; the second must not
@@ -250,7 +250,7 @@ func TestDVRPauseAcrossLeaseRefresh(t *testing.T) {
 		defer cc.Close()
 		feedStream(t, r, 1, 6)
 
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 5_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 5_000))
 		first := recvAck()
 		if first.Status != proto.SubOK || first.ShiftMs < 5_000 {
 			t.Errorf("grant ack = %+v, want OK with >= 5000 ms shift", first)
@@ -269,7 +269,7 @@ func TestDVRPauseAcrossLeaseRefresh(t *testing.T) {
 		}
 
 		// Refresh mid-pause: lease extends, pause and shift survive.
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 2, 60_000, 5_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 2, 60_000, 5_000))
 		refresh := recvAck()
 		if refresh.ShiftMs != first.ShiftMs {
 			t.Errorf("refresh ack shift = %d, want echo of granted %d", refresh.ShiftMs, first.ShiftMs)
@@ -314,7 +314,7 @@ func TestDVRCatchupBatchBuffersDistinct(t *testing.T) {
 	sim, _, r := newTestRelay(t, Config{Channel: 1, DVR: true, DVRDepth: 10 * time.Second, DVRBurst: 1000})
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 2)
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 2_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 2_000))
 
 		// One un-flushed batch, gathered across several passes with time
 		// moving in between — exactly the worker's inner loop while the
@@ -386,7 +386,7 @@ func TestPauseReplayAndWrongChannelIgnored(t *testing.T) {
 	}
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 1)
-		r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 1, 1, 60_000))
+		r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 1, 1, 60_000))
 
 		// Addressed to a channel this lease does not carry: ignored.
 		pauseAt(9, 1, true)
@@ -816,7 +816,7 @@ func TestConvergeThenAppendByHand(t *testing.T) {
 	sim, _, r := newTestRelay(t, Config{Channel: 1, DVR: true, DVRBurst: 100_000, Shards: 1})
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 1)
-		r.handleSubscribe(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
+		r.handleRequest(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
 		r.fanout(1, dataPkt(t, 1, 1, 11, 320)) // P: appended, shard woken
 		b := &batch{slots: make([][]byte, 64)}
 		for i := 0; i < 40; i++ {

@@ -40,12 +40,19 @@
 // (proto.Announce relay records; see Discover) so off-LAN speakers and
 // downstream relays find a bridge without static configuration.
 //
-// The control plane authenticates (§5.1 applied to the one packet that
-// creates forwarding state): with Config.Auth set, a Subscribe must
-// verify before it can touch the lease table — failures drop silently,
-// with no SubAck, so a request forged from a spoofed source reflects
-// nothing at the victim and the relay cannot be grown into a TURN-style
-// amplifier — and every SubAck is signed so subscribers adopt only
-// leases their real relay granted. See docs/RELAY-OPS.md ("Securing a
-// relay") for the operator view.
+// The control plane is one pipeline (admission.go): every request that
+// can change the lease table — a Subscribe, whose lifetime and path
+// fields pick grant, refresh, cancel or loop refusal, and a Pause —
+// waits in one bounded queue; a gather pass is verified with one call,
+// applied per shard in arrival order through one lease-holder check,
+// and answered with one signing call and one WriteBatch. It
+// authenticates (§5.1 applied to the packets that create forwarding
+// state): with Config.Auth set — the one relay-side interface,
+// security.RelayAuthenticator — a request must verify before it can
+// touch the lease table. Failures drop silently, with no SubAck, so a
+// request forged from a spoofed source reflects nothing at the victim
+// and the relay cannot be grown into a TURN-style amplifier, and every
+// SubAck is signed so subscribers adopt only leases their real relay
+// granted. See docs/RELAY-OPS.md ("Securing a relay") for the operator
+// view.
 package relay

@@ -51,9 +51,9 @@ func TestChainAwareLeaseSizing(t *testing.T) {
 		}
 		return lan.Packet{From: from, To: "10.0.0.1:5006", Data: data}
 	}
-	r.handleSubscribe(mk("10.0.0.2:5004", 0, 5000))
-	r.handleSubscribe(mk("10.0.0.3:5004", 3, 5000))
-	r.handleSubscribe(mk("10.0.0.4:5004", 3, 30_000)) // 4x30s clamps at MaxLease
+	r.handleRequest(mk("10.0.0.2:5004", 0, 5000))
+	r.handleRequest(mk("10.0.0.3:5004", 3, 5000))
+	r.handleRequest(mk("10.0.0.4:5004", 3, 30_000)) // 4x30s clamps at MaxLease
 
 	subs := r.Subscribers()
 	if len(subs) != 3 {
@@ -340,7 +340,7 @@ func TestTierShedRedirectsLadderFloorSubscriber(t *testing.T) {
 		floor = r.Subscribers()[0].Profile
 		// No sibling list installed: the floor-rung refresh is served
 		// normally, not redirected.
-		r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
+		r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
 		noSibStats = r.Stats()
 		r.SetSiblings(func() []proto.RelayInfo {
 			return []proto.RelayInfo{

@@ -55,7 +55,7 @@ const (
 	// packets in the batch, so it stays well inside the speakers'
 	// synchronization epsilon.
 	DefaultFlushInterval = 2 * time.Millisecond
-	// DefaultAdmitBatch is how many queued Subscribes the admission
+	// DefaultAdmitBatch is how many queued control requests the admission
 	// worker gathers per pass: verification, lease-table insertion, ack
 	// signing, and the ack sends are all amortized across the gather.
 	DefaultAdmitBatch = 256
@@ -132,31 +132,28 @@ type Config struct {
 	Network lan.Network
 	// Auth, when set, authenticates the relay control plane (§5.1
 	// applied to the one path that creates forwarding state): every
-	// inbound Subscribe must verify before it can touch the lease table
-	// — failures are dropped silently, without a SubAck, so a forged
-	// request from a spoofed source draws zero reply traffic and the
-	// relay cannot be grown into a reflection amplifier — and every
-	// outbound SubAck is signed so subscribers can trust the granted
-	// lease. A chained relay uses the same authenticator for its own
-	// upstream lease (signing its subscribes, verifying the upstream's
-	// grants), so one shared key secures a whole chain. The
-	// authenticator must be safe for concurrent use (the HMAC scheme
-	// is; one-way stream signers are not).
+	// inbound control request — Subscribe or Pause — must verify before
+	// it can touch the lease table. Failures are dropped silently,
+	// without a SubAck, so a forged request from a spoofed source draws
+	// zero reply traffic and the relay cannot be grown into a reflection
+	// amplifier; every outbound SubAck is signed so subscribers can
+	// trust the granted lease. It must be safe for concurrent use.
 	//
-	// When Auth implements security.SessionAuthenticator (the
-	// per-subscriber identity scheme), admission verifies each request
-	// under its own credential with the packet's UDP source bound into
-	// the tag, every lease remembers the identity that created it, and
-	// refresh/cancel/pause must present that identity with a sequence
-	// above everything the session has already consumed — closing both
-	// cross-subscriber forgery and capture-and-replay.
-	Auth security.Authenticator
-	// UpstreamAuth, when set, is the authenticator for the chained
-	// upstream lease instead of Auth: what this relay signs its own
-	// subscribes with. The shared-key schemes use one authenticator for
-	// both directions, but with per-subscriber identities they differ —
-	// admission holds the whole keyring while the upstream lease signs
-	// as this relay's own identity. Nil falls back to Auth.
+	// When the scheme binds identities (per-subscriber credentials),
+	// each request verifies under its own credential with the packet's
+	// UDP source bound into the tag, every lease remembers the identity
+	// that created it, and refresh/cancel/pause must present that
+	// identity with a sequence above everything the session has already
+	// consumed — closing both cross-subscriber forgery and
+	// capture-and-replay.
+	Auth security.RelayAuthenticator
+	// UpstreamAuth is what a chained relay signs its own upstream lease
+	// with and verifies the upstream's grants under: the client side of
+	// the scheme the upstream relay demands. Under a shared key that is
+	// the same key Auth holds; with per-subscriber identities admission
+	// holds the whole keyring while the upstream lease signs as this
+	// relay's own identity. Required with Upstream whenever Auth is set
+	// — one chain, one scheme — and New refuses the pair without it.
 	UpstreamAuth security.Authenticator
 	// TraceSample sets the packet tracer's 1-in-N sampling rate for
 	// send events (drop events always hit the exact reason counters;
@@ -300,7 +297,7 @@ type Stats struct {
 	Rejected         int64 `mib:"es.relay.rejected" help:"refused subscribe requests"`
 	Loops            int64 `mib:"es.relay.loops" help:"subscribes refused with SubLoop (path revisits or too deep)"`
 	Redirects        int64 `mib:"es.relay.redirects" help:"new subscribes answered with SubRedirect (load shed to a sibling relay)"`
-	AuthDropped      int64 `mib:"es.relay.auth.dropped" help:"subscribes dropped by control-plane verification (forged or unsigned; no SubAck sent)"`
+	AuthDropped      int64 `mib:"es.relay.auth.dropped" help:"control requests dropped by control-plane verification (forged or unsigned; no SubAck sent)"`
 	IdentityMismatch int64 `mib:"es.relay.identity.mismatch" help:"control requests signed by a valid credential other than the lease holder's (cross-subscriber forgery; dropped silently)"`
 	ReplayDropped    int64 `mib:"es.relay.replay.dropped" help:"control requests dropped by the per-session replay window (sequence at or below the last consumed)"`
 	TierSheds        int64 `mib:"es.relay.ladder.sheds" help:"ladder-floor subscribers redirected to a less-loaded sibling at refresh (Config.ShedTier)"`
@@ -317,11 +314,12 @@ type Stats struct {
 	UpstreamAuthDropped int64 `mib:"es.relay.upstream.auth.dropped" help:"upstream acks dropped by verification"`
 	UpstreamRedirects   int64 `mib:"es.relay.upstream.redirects" help:"redirects the relay's own upstream lease followed to a sibling"`
 
-	// Admission telemetry: the batched Subscribe pipeline. AdmitBatches
-	// counts gather passes; Subscribes+Refreshes+... per batch over
-	// AdmitBatches is the achieved admission batch size.
-	AdmitBatches  int64 `mib:"es.relay.admit.batches" help:"admission gather passes over queued subscribes"`
-	AdmitOverflow int64 `mib:"es.relay.admit.overflow" help:"subscribes dropped at the door because the admission queue was full"`
+	// Admission telemetry: the batched control-request pipeline
+	// (admission.go). AdmitBatches counts gather passes;
+	// Subscribes+Refreshes+... per batch over AdmitBatches is the
+	// achieved admission batch size.
+	AdmitBatches  int64 `mib:"es.relay.admit.batches" help:"admission gather passes over queued control requests"`
+	AdmitOverflow int64 `mib:"es.relay.admit.overflow" help:"control requests (Subscribe, Pause) dropped at the door because the admission queue was full"`
 
 	// Batching telemetry: Batches counts WriteBatch flushes, split by
 	// what triggered them. FanoutSent / Batches is the achieved batch
@@ -431,6 +429,7 @@ type subscriber struct {
 // shard is one slice of the subscriber table with its own fan-out
 // worker and, when Config.Network is set, its own send socket.
 type shard struct {
+	index   int      // position in Relay.shards
 	conn    lan.Conn // send path: shard-owned socket or the shared conn
 	ownConn bool     // conn was attached by us and must be closed on Stop
 
@@ -563,6 +562,11 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 		if cfg.Upstream.IsMulticast() {
 			return nil, fmt.Errorf("relay: upstream %q is multicast; set Group to join a group directly", cfg.Upstream)
 		}
+		if cfg.Auth != nil && cfg.UpstreamAuth == nil {
+			// A relay that demands signatures sits in a signed chain: an
+			// unsigned upstream lease would be dropped there silently.
+			return nil, fmt.Errorf("relay: Upstream with Auth needs UpstreamAuth (the client side of the chain's scheme, for this relay's own lease)")
+		}
 	case !cfg.Group.IsMulticast():
 		return nil, fmt.Errorf("relay: group %q is not multicast", cfg.Group)
 	default:
@@ -595,22 +599,13 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 		r.upstreamHost = cfg.Upstream.Host()
 		r.up = lease.New(clock, conn, "relay-upstream-"+string(conn.LocalAddr()))
 		r.up.SetPath(r.pathInfo)
-		// One authenticator secures the whole chain: this relay signs
-		// its upstream subscribes and verifies the upstream's grants
-		// with the same scheme it demands of its own subscribers —
-		// except with per-subscriber identities, where UpstreamAuth
-		// carries this relay's own derived credential.
-		ua := cfg.UpstreamAuth
-		if ua == nil {
-			ua = cfg.Auth
-		}
-		r.up.SetAuth(ua)
+		r.up.SetAuth(cfg.UpstreamAuth)
 		r.up.SetInstruments(r.upRTT, r.leaseMargin)
 	}
 	r.workersIdle = clock.NewCond()
 	r.admitCond = clock.NewCond()
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{conn: conn, subs: make(map[lan.Addr]*subscriber)}
+		sh := &shard{index: i, conn: conn, subs: make(map[lan.Addr]*subscriber)}
 		sh.work = clock.NewCond()
 		if cfg.Network != nil {
 			sc, err := cfg.Network.Attach(lan.Addr(
@@ -1034,11 +1029,11 @@ func (r *Relay) Run() {
 // address (real UDP source spoofing — the attack the control-plane auth
 // closes), which the simulated segment cannot produce: its Send always
 // stamps the sender's true address. Injection is synchronous even for
-// Subscribes — the packet is fully admitted (or dropped and counted)
-// before Inject returns, bypassing the admission queue, so callers can
-// assert on counter deltas immediately.
+// control requests — the packet is fully applied (or dropped and
+// counted) before Inject returns, bypassing the admission queue, so
+// callers can assert on counter deltas immediately.
 func (r *Relay) Inject(pkt lan.Packet) {
-	if t, _, err := proto.PeekType(pkt.Data); err == nil && t == proto.TypeSubscribe {
+	if t, _, err := proto.PeekType(pkt.Data); err == nil && (t == proto.TypeSubscribe || t == proto.TypePause) {
 		r.admitBatch([]lan.Packet{pkt})
 		return
 	}
@@ -1056,8 +1051,8 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 		return
 	}
 	switch t {
-	case proto.TypeSubscribe:
-		r.handleSubscribe(pkt)
+	case proto.TypeSubscribe, proto.TypePause:
+		r.handleRequest(pkt)
 	case proto.TypeControl, proto.TypeData:
 		r.mu.Lock()
 		// Only packets from the configured source are relayed: off the
@@ -1112,579 +1107,9 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 				r.mu.Unlock()
 			}
 		}
-	case proto.TypePause:
-		r.handlePause(pkt)
 	default:
 		// Announce traffic is not ours to forward.
 	}
-}
-
-// handleSubscribe routes one Subscribe into the admission pipeline:
-// enqueued for the admission worker when Run drives the relay, or — no
-// worker (driven by tests without Run, or via Inject) — processed
-// synchronously as a batch of one, so every caller sees the same
-// verification and admission semantics.
-func (r *Relay) handleSubscribe(pkt lan.Packet) {
-	r.admitMu.Lock()
-	if !r.admitRunning || r.admitStop {
-		r.admitMu.Unlock()
-		r.admitBatch([]lan.Packet{pkt})
-		return
-	}
-	if len(r.admitQ) >= admitQueueLen {
-		r.admitMu.Unlock()
-		r.count(func(s *Stats) { s.AdmitOverflow++ })
-		r.tracer.Drop(obs.PathControl, obs.ReasonQueueFull, string(pkt.From), 0)
-		return
-	}
-	r.admitQ = append(r.admitQ, pkt)
-	if len(r.admitQ) == 1 || len(r.admitQ) >= r.cfg.AdmitBatch {
-		// Wake the worker when it may be idle (first packet) or its
-		// gather window can end early (a full batch is ready); the
-		// in-between enqueues pile up for the current window.
-		r.admitCond.Broadcast()
-	}
-	r.admitMu.Unlock()
-}
-
-// admitWorker drains the admission queue in gather passes of up to
-// cfg.AdmitBatch Subscribes each and hands every pass to admitBatch.
-// Batching is what survives a join storm: verification, lease-table
-// insertion, ack signing, and the ack sends are all amortized per
-// pass instead of paid per packet. It exits once Stop is called and
-// the queue has drained — subscribers whose request was already
-// queued still get their answer.
-func (r *Relay) admitWorker() {
-	defer func() {
-		r.admitMu.Lock()
-		r.admitDone = true
-		r.admitCond.Broadcast()
-		r.admitMu.Unlock()
-	}()
-	// lastPass is when the previous gather pass was taken; initialized
-	// far in the past so the first Subscribe ever is admitted instantly.
-	lastPass := r.clock.Now().Add(-time.Hour)
-	for {
-		r.admitMu.Lock()
-		for len(r.admitQ) == 0 && !r.admitStop {
-			r.admitCond.Wait(&r.admitMu)
-		}
-		if len(r.admitQ) == 0 {
-			r.admitMu.Unlock()
-			return
-		}
-		if r.cfg.AdmitBatch > 1 && len(r.admitQ) < r.cfg.AdmitBatch && !r.admitStop &&
-			r.clock.Now().Sub(lastPass) < admitGatherWindow {
-			// Back-to-back passes mean a storm is arriving one recv at a
-			// time: without this bounded beat the worker would wake per
-			// packet and batch verification would never see a batch. The
-			// enqueue path cuts the wait short once a full batch is
-			// ready; an isolated Subscribe never enters this branch and
-			// is admitted with no added latency.
-			r.admitCond.WaitTimeout(&r.admitMu, admitGatherWindow)
-		}
-		lastPass = r.clock.Now()
-		n := r.cfg.AdmitBatch
-		if n > len(r.admitQ) {
-			n = len(r.admitQ)
-		}
-		batch := make([]lan.Packet, n)
-		copy(batch, r.admitQ)
-		rest := copy(r.admitQ, r.admitQ[n:])
-		r.admitQ = r.admitQ[:rest]
-		r.admitMu.Unlock()
-		r.admitBatch(batch)
-	}
-}
-
-// admission is one Subscribe that survived verification and parsing.
-type admission struct {
-	from lan.Addr
-	req  *proto.Subscribe
-	ack  proto.SubAck
-	send bool // an ack goes out (auth failures and cancels stay silent)
-	// Session identity (identity scheme only): who signed the request
-	// and with what sequence. session gates the per-lease identity and
-	// replay checks — without it the fields are zero and unchecked.
-	identity uint32
-	seq      uint64
-	session  bool
-}
-
-// admitBatch verifies, admits, and acks one gather pass of Subscribe
-// packets. With Config.Auth set, the whole pass is verified in one
-// BatchAuthenticator call when the scheme supports it; unverified
-// requests are dropped silently exactly as in the per-packet path (a
-// SubAck to an unverified source is the reflection primitive the auth
-// exists to close). New subscribers are inserted with one shard-lock
-// acquisition per shard and one relay-lock acquisition per pass, the
-// acks are signed as a batch, and sent as one WriteBatch.
-//
-// Shedding happens here: when the relay is past Config.ShedSubscribers
-// or Config.ShedPressure and a sibling is known (SetSiblings), a *new*
-// subscriber is answered with SubRedirect naming the least-loaded
-// eligible sibling — round-robined so a storm spreads — instead of a
-// lease. Refreshes, cancels, and loop refusals are never shed.
-func (r *Relay) admitBatch(pkts []lan.Packet) {
-	// Verify. The no-auth and single-packet paths share the loop below;
-	// only the signature check itself is batched. A session scheme
-	// verifies the whole mixed-identity pass in one call, each packet
-	// under its own credential with its UDP source bound into the tag.
-	datas := make([][]byte, len(pkts))
-	verified := make([]bool, len(pkts))
-	var ids []uint32
-	var seqs []uint64
-	session := false
-	if r.cfg.Auth == nil {
-		for i := range pkts {
-			datas[i], verified[i] = pkts[i].Data, true
-		}
-	} else if sa, ok := r.cfg.Auth.(security.SessionAuthenticator); ok {
-		raw := make([][]byte, len(pkts))
-		srcs := make([]string, len(pkts))
-		for i := range pkts {
-			raw[i], srcs[i] = pkts[i].Data, string(pkts[i].From)
-		}
-		datas, ids, seqs, verified = sa.VerifySessionBatch(raw, srcs)
-		session = true
-	} else if ba, ok := r.cfg.Auth.(security.BatchAuthenticator); ok && len(pkts) > 1 {
-		raw := make([][]byte, len(pkts))
-		for i := range pkts {
-			raw[i] = pkts[i].Data
-		}
-		datas, verified = ba.VerifyBatch(raw, nil)
-	} else {
-		for i := range pkts {
-			datas[i], verified[i] = r.cfg.Auth.Verify(pkts[i].Data)
-		}
-	}
-	var authDropped, malformed, rejected, loops, refreshes, redirects int64
-	var identityMismatch, replays, tierSheds int64
-	admissions := make([]admission, 0, len(pkts))
-	for i := range pkts {
-		if !verified[i] {
-			authDropped++
-			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(pkts[i].From), 0)
-			continue
-		}
-		req, err := proto.UnmarshalSubscribe(datas[i])
-		if err != nil {
-			malformed++
-			r.tracer.Drop(obs.PathControl, obs.ReasonMalformed, string(pkts[i].From), 0)
-			continue
-		}
-		adm := admission{from: pkts[i].From, req: req, session: session}
-		if session {
-			adm.identity, adm.seq = ids[i], seqs[i]
-		}
-		admissions = append(admissions, adm)
-	}
-
-	// Shed state, sampled once per pass: the load thresholds move on
-	// the order of announce cycles, not packets.
-	var sibs []proto.RelayInfo
-	r.mu.Lock()
-	nsubs := r.nsubs
-	sibfn := r.siblings
-	r.mu.Unlock()
-	shedding := r.cfg.ShedSubscribers > 0 && nsubs >= r.cfg.ShedSubscribers
-	if !shedding && r.cfg.ShedPressure > 0 {
-		shedding = int(r.Pressure()) >= r.cfg.ShedPressure
-	}
-	// The subscriber-count threshold can also be crossed *by this very
-	// batch* (a storm arrives faster than announce cycles), so whenever
-	// it is configured the sibling list is fetched up front and the
-	// count re-checked per insert below — otherwise one gather pass
-	// would overshoot the operator's cap by up to a full batch.
-	// Tier shedding answers at refresh time, so with ShedTier on the
-	// sibling list is needed whether or not the relay is shedding
-	// newcomers right now.
-	if sibfn != nil && (shedding || r.cfg.ShedSubscribers > 0 || r.cfg.ShedTier) {
-		sibs = r.eligibleSiblings(sibfn())
-	}
-
-	// Classify, then admit per shard: every request for a shard is
-	// handled under one sh.mu acquisition, and all inserts in the pass
-	// share one r.mu acquisition for the capacity/shed accounting.
-	byShard := make(map[*shard][]int)
-	for i := range admissions {
-		a := &admissions[i]
-		req := a.req
-		a.ack = proto.SubAck{Channel: req.Channel, Seq: req.Seq, Status: proto.SubOK}
-		a.send = true
-		switch {
-		case r.cfg.Channel != 0 && req.Channel != 0 && req.Channel != r.cfg.Channel:
-			a.ack.Status = proto.SubNoChannel
-			rejected++
-			r.tracer.Drop(obs.PathControl, obs.ReasonChannelFilter, string(a.from), req.Channel)
-		case req.PathID == r.relayID || int(req.Hops) >= r.cfg.MaxHops:
-			// The subscription path already crossed this relay (its own
-			// id came back) or is deeper than any sane chain: granting
-			// would close a forwarding cycle. Refuse, and drop any lease
-			// the subscriber already holds — a refresh is how an
-			// established loop announces itself, and expiry alone would
-			// keep the cycle spinning for a full lease.
-			if mm, rp := r.revokeLease(a); mm || rp {
-				// Verified, but not by the lease holder (or a replay):
-				// silent, like every other auth failure — an attacker
-				// holding some valid credential must not be able to
-				// revoke another subscriber's lease, nor draw a reply
-				// to a spoofed source.
-				if mm {
-					identityMismatch++
-				} else {
-					replays++
-				}
-				a.send = false
-				continue
-			}
-			a.ack.Status = proto.SubLoop
-			rejected++
-			loops++
-			r.tracer.Drop(obs.PathControl, obs.ReasonLoop, string(a.from), req.Channel)
-		case req.LeaseMs == 0:
-			if mm, rp := r.revokeLease(a); mm {
-				identityMismatch++
-			} else if rp {
-				replays++
-			}
-			a.send = false
-		default:
-			sh := r.shardFor(a.from)
-			byShard[sh] = append(byShard[sh], i)
-		}
-	}
-	// holds reports whether a may act on sub's lease. In session mode
-	// the request must come from the identity that holds the lease, with
-	// a sequence the session has not seen: any valid credential can sign
-	// a packet claiming any source, so without these checks one
-	// subscriber could hijack or replay-extend another's session. A
-	// request that fails is dropped silently, like every auth failure.
-	holds := func(sub *subscriber, a *admission) bool {
-		switch {
-		case !a.session:
-			return true
-		case sub.identity != a.identity:
-			identityMismatch++
-			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(a.from), 0)
-		case a.seq <= sub.ctlSeq:
-			replays++
-			r.tracer.Drop(obs.PathControl, obs.ReasonStale, string(a.from), 0)
-		default:
-			sub.ctlSeq = a.seq
-			return true
-		}
-		a.send = false
-		return false
-	}
-	for sh, idxs := range byShard {
-		var inserts []int
-		now := r.clock.Now()
-		sh.mu.Lock()
-		for _, i := range idxs {
-			a := &admissions[i]
-			lease := time.Duration(a.req.LeaseMs) * time.Millisecond
-			if lease < MinLease {
-				lease = MinLease
-			}
-			if h := a.req.Hops; h > 0 {
-				// Chain-aware sizing: a subscriber with relays behind it
-				// is a whole subtree's feed, and losing its lease silences
-				// every speaker downstream. Scale the grant with the chain
-				// depth so deep links refresh (and can be lost) less often,
-				// while plain speakers keep the requested cadence.
-				lease *= time.Duration(h) + 1
-			}
-			if lease > r.cfg.MaxLease {
-				lease = r.cfg.MaxLease
-			}
-			a.ack.LeaseMs = uint32(lease / time.Millisecond)
-			if sub, ok := sh.subs[a.from]; ok {
-				if !holds(sub, a) {
-					continue
-				}
-				if sub.shedPending {
-					// The ladder ran out of rungs for this subscriber; a
-					// refresh is the one packet a redirect may answer (the
-					// lease layer ignores unsolicited acks), so steer it
-					// now — or, with no eligible sibling, keep serving.
-					var to string
-					r.mu.Lock()
-					if len(sibs) > 0 {
-						to = r.pickSibling(sibs, a.req.Channel)
-					}
-					r.mu.Unlock()
-					sub.shedPending = false
-					if to != "" {
-						a.ack.Status = proto.SubRedirect
-						a.ack.Redirect = to
-						a.ack.LeaseMs = 0
-						r.remove(sh, sub)
-						tierSheds++
-						continue
-					}
-				}
-				// Refresh: an established subscriber is served even when
-				// the relay is shedding — steering moves newcomers.
-				sub.expires = now.Add(lease)
-				if sub.channel != a.req.Channel {
-					// New filter, new numbering: what the old one still
-					// had waiting is no longer owed.
-					sub.channel = a.req.Channel
-					if !sub.replay {
-						r.goLive(sub)
-					}
-				}
-				sub.hops = a.req.Hops
-				sub.pathID = a.req.PathID
-				if prof := requestedProfile(a.req); prof != sub.reqProfile {
-					// A re-requested tier resets the ladder: the new ask is
-					// served immediately and dwell starts over from here.
-					r.profCount[sub.profile].Add(-1)
-					sub.reqProfile, sub.profile = prof, prof
-					r.profCount[prof].Add(1)
-					sub.ladderAt = now
-					sub.ladderDrops = sub.dropped
-				}
-				// The ack reports the tier actually served — under ladder
-				// pressure that may sit below the requested profile.
-				a.ack.Profile = uint8(sub.profile)
-				// The granted shift is decided at lease creation; a
-				// refresh echoes it without moving the cursor (or
-				// disturbing a pause taken across the refresh).
-				a.ack.ShiftMs = sub.shiftMs
-				refreshes++
-				continue
-			}
-			inserts = append(inserts, i)
-		}
-		if len(inserts) > 0 {
-			r.mu.Lock()
-			for _, i := range inserts {
-				a := &admissions[i]
-				if sub, ok := sh.subs[a.from]; ok {
-					// A Subscribe and its retransmission gathered into one
-					// pass: the first created the lease a moment ago, so
-					// this one is the refresh it would have been in the
-					// next pass — never a second table entry.
-					if holds(sub, a) {
-						sub.expires = now.Add(time.Duration(a.ack.LeaseMs) * time.Millisecond)
-						a.ack.Profile, a.ack.ShiftMs = uint8(sub.profile), sub.shiftMs
-						refreshes++
-					}
-					continue
-				}
-				// Live re-check of the count threshold: r.nsubs is exact
-				// under r.mu, so admissions never pass the cap even when a
-				// single batch crosses it. Pressure stays per-pass — its
-				// score moves on flush cadence, not per insert.
-				shed := shedding ||
-					(r.cfg.ShedSubscribers > 0 && r.nsubs >= r.cfg.ShedSubscribers)
-				if shed {
-					if to := r.pickSibling(sibs, a.req.Channel); to != "" {
-						a.ack.Status = proto.SubRedirect
-						a.ack.Redirect = to
-						a.ack.LeaseMs = 0
-						redirects++
-						continue
-					}
-					// No eligible sibling: admit anyway — a redirect
-					// with nowhere to point is just a refusal, and the
-					// stream is better served overloaded than not at all.
-				}
-				if r.nsubs >= r.cfg.MaxSubscribers {
-					a.ack.Status = proto.SubTableFull
-					a.ack.LeaseMs = 0
-					rejected++
-					r.tracer.Drop(obs.PathControl, obs.ReasonTableFull, string(a.from), a.req.Channel)
-					continue
-				}
-				r.nsubs++
-				r.stats.Subscribes++
-				prof := requestedProfile(a.req)
-				sub := &subscriber{
-					addr: a.from, channel: a.req.Channel,
-					hops: a.req.Hops, pathID: a.req.PathID,
-					identity: a.identity, ctlSeq: a.seq,
-					profile: prof, reqProfile: prof, ladderAt: now,
-					expires: now.Add(time.Duration(a.ack.LeaseMs) * time.Millisecond),
-				}
-				r.goLive(sub)
-				r.profCount[prof].Add(1)
-				a.ack.Profile = uint8(prof)
-				if r.seq.ring != nil && a.req.ShiftMs != 0 {
-					r.grantShift(sub, a)
-					if sub.replay {
-						// The replay is driven by the shard worker, which on
-						// a quiet channel may be parked with nothing to fan
-						// out. Wake it so the backlog starts flowing now
-						// rather than at the next live packet.
-						sh.work.Broadcast()
-					}
-				}
-				sh.subs[a.from] = sub
-				sh.order = append(sh.order, sub)
-			}
-			r.mu.Unlock()
-		}
-		sh.mu.Unlock()
-	}
-
-	// Ack: marshal, sign (batched when the scheme allows), one
-	// WriteBatch. Prefix semantics as in flush: a failing datagram is
-	// skipped and the rest retried.
-	outs := make([]lan.Datagram, 0, len(admissions))
-	var ackIDs []uint32 // parallel to outs; identity scheme only
-	if session {
-		ackIDs = make([]uint32, 0, len(admissions))
-	}
-	for i := range admissions {
-		a := &admissions[i]
-		if !a.send {
-			continue
-		}
-		out, err := a.ack.Marshal()
-		if err != nil {
-			continue
-		}
-		outs = append(outs, lan.Datagram{To: a.from, Data: out})
-		if session {
-			ackIDs = append(ackIDs, a.identity)
-		}
-	}
-	if r.cfg.Auth != nil && len(outs) > 0 {
-		if sa, ok := r.cfg.Auth.(security.SessionAuthenticator); ok && session {
-			// Each ack is signed under its recipient's own credential, so
-			// only that subscriber can validate its grant.
-			raw := make([][]byte, len(outs))
-			for i := range outs {
-				raw[i] = outs[i].Data
-			}
-			for i, signed := range sa.SignForBatch(ackIDs, raw) {
-				outs[i].Data = signed
-			}
-		} else if ba, ok := r.cfg.Auth.(security.BatchAuthenticator); ok && len(outs) > 1 {
-			raw := make([][]byte, len(outs))
-			for i := range outs {
-				raw[i] = outs[i].Data
-			}
-			for i, signed := range ba.SignBatch(raw) {
-				outs[i].Data = signed
-			}
-		} else {
-			for i := range outs {
-				outs[i].Data = r.cfg.Auth.Sign(outs[i].Data)
-			}
-		}
-	}
-	var sendErrors int64
-	for len(outs) > 0 {
-		n, err := lan.WriteBatch(r.conn, outs)
-		if n > len(outs) {
-			n = len(outs)
-		}
-		outs = outs[n:]
-		if err == nil {
-			break
-		}
-		if len(outs) > 0 {
-			r.tracer.Drop(obs.PathControl, obs.ReasonSendError, string(outs[0].To), 0)
-			outs = outs[1:]
-		}
-		sendErrors++
-	}
-	r.mu.Lock()
-	r.stats.AuthDropped += authDropped
-	r.stats.Malformed += malformed
-	r.stats.Rejected += rejected
-	r.stats.Loops += loops
-	r.stats.Refreshes += refreshes
-	r.stats.Redirects += redirects
-	r.stats.IdentityMismatch += identityMismatch
-	r.stats.ReplayDropped += replays
-	r.stats.TierSheds += tierSheds
-	r.stats.SendErrors += sendErrors
-	r.stats.AdmitBatches++
-	r.nsubs -= int(tierSheds)
-	r.mu.Unlock()
-}
-
-// revokeLease removes a.from's lease on behalf of one verified control
-// request — an explicit cancel (LeaseMs 0) or a loop refusal. In
-// session mode the lease is only dropped when the request was signed by
-// the identity that holds it and carries a fresh sequence; any valid
-// credential can produce a verifiable packet claiming any source, so
-// without this check one subscriber could cancel another's lease with a
-// spoofed source and its own key. The refusal reasons are returned for
-// the caller's counters; with no lease present both are false and the
-// revoke is a no-op.
-func (r *Relay) revokeLease(a *admission) (mismatch, replay bool) {
-	sh := r.shardFor(a.from)
-	sh.mu.Lock()
-	sub, ok := sh.subs[a.from]
-	if ok && a.session {
-		if sub.identity != a.identity {
-			sh.mu.Unlock()
-			r.tracer.Drop(obs.PathControl, obs.ReasonAuth, string(a.from), 0)
-			return true, false
-		}
-		if a.seq <= sub.ctlSeq {
-			sh.mu.Unlock()
-			r.tracer.Drop(obs.PathControl, obs.ReasonStale, string(a.from), 0)
-			return false, true
-		}
-	}
-	if ok {
-		r.remove(sh, sub)
-	}
-	sh.mu.Unlock()
-	if ok {
-		r.mu.Lock()
-		r.stats.Unsubscribes++
-		r.nsubs--
-		r.mu.Unlock()
-	}
-	return false, false
-}
-
-// eligibleSiblings filters and ranks the steer candidates: not this
-// relay itself, not anything chained directly behind it (redirecting a
-// subscriber into our own subtree invites the loop the PathID check
-// would then have to break), unicast-addressed, least-loaded first
-// with address as the tie-break.
-func (r *Relay) eligibleSiblings(records []proto.RelayInfo) []proto.RelayInfo {
-	self := string(r.Addr())
-	out := records[:0:0]
-	for _, ri := range records {
-		if ri.Addr == self || ri.Group == self {
-			continue
-		}
-		if a := lan.Addr(ri.Addr); a.Validate() != nil || a.IsMulticast() {
-			continue
-		}
-		out = append(out, ri)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if si, sj := out[i].LoadScore(), out[j].LoadScore(); si != sj {
-			return si < sj
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
-}
-
-// pickSibling round-robins across the channel-compatible siblings.
-// Caller holds r.mu (for the round-robin cursor).
-func (r *Relay) pickSibling(sibs []proto.RelayInfo, channel uint32) string {
-	n := len(sibs)
-	for k := 0; k < n; k++ {
-		ri := sibs[int(r.redirRR)%n]
-		r.redirRR++
-		if ri.Channel == 0 || channel == 0 || ri.Channel == channel {
-			return ri.Addr
-		}
-	}
-	return ""
 }
 
 // count applies a stats mutation under the relay lock.
@@ -1692,56 +1117,6 @@ func (r *Relay) count(fn func(*Stats)) {
 	r.mu.Lock()
 	fn(&r.stats)
 	r.mu.Unlock()
-}
-
-// subscribe adds or refreshes one lease directly, bypassing the
-// admission pipeline (no verification, no shedding, no lease
-// clamping); it reports false when the table is full. Tests use it to
-// install precise table states — sub-MinLease expiries included —
-// without going through a Subscribe packet.
-func (r *Relay) subscribe(addr lan.Addr, req *proto.Subscribe, lease time.Duration) bool {
-	now := r.clock.Now()
-	expires := now.Add(lease)
-	sh := r.shardFor(addr)
-	sh.mu.Lock()
-	if sub, ok := sh.subs[addr]; ok {
-		sub.expires = expires
-		sub.channel = req.Channel
-		sub.hops = req.Hops
-		sub.pathID = req.PathID
-		if prof := requestedProfile(req); prof != sub.reqProfile {
-			r.profCount[sub.profile].Add(-1)
-			sub.reqProfile, sub.profile = prof, prof
-			r.profCount[prof].Add(1)
-			sub.ladderAt = now
-			sub.ladderDrops = sub.dropped
-		}
-		sh.mu.Unlock()
-		r.count(func(s *Stats) { s.Refreshes++ })
-		return true
-	}
-	r.mu.Lock()
-	if r.nsubs >= r.cfg.MaxSubscribers {
-		r.mu.Unlock()
-		sh.mu.Unlock()
-		return false
-	}
-	r.nsubs++
-	r.stats.Subscribes++
-	r.mu.Unlock()
-	prof := requestedProfile(req)
-	sub := &subscriber{
-		addr: addr, channel: req.Channel,
-		hops: req.Hops, pathID: req.PathID,
-		profile: prof, reqProfile: prof, ladderAt: now,
-		expires: expires,
-	}
-	r.goLive(sub)
-	r.profCount[prof].Add(1)
-	sh.subs[addr] = sub
-	sh.order = append(sh.order, sub)
-	sh.mu.Unlock()
-	return true
 }
 
 // pathInfo reports the loop-detection pair the relay's own upstream

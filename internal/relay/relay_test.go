@@ -41,6 +41,35 @@ func subscribePkt(t *testing.T, from lan.Addr, channel, seq, leaseMs uint32) lan
 	return lan.Packet{From: from, To: "10.0.0.1:5006", Data: data}
 }
 
+// subscribe adds or refreshes one lease directly, around the control
+// pipeline (no verification, no shedding, no lease clamping), through
+// the same insert and refresh the pipeline uses; it reports false when
+// the table is full. Tests use it to install precise table states —
+// sub-MinLease expiries included — without going through a Subscribe
+// packet.
+func (r *Relay) subscribe(addr lan.Addr, req *proto.Subscribe, lease time.Duration) bool {
+	now := r.clock.Now()
+	sh := r.shardFor(addr)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sub, ok := sh.subs[addr]; ok {
+		r.refresh(sub, req, now.Add(lease), now)
+		r.count(func(s *Stats) { s.Refreshes++ })
+		return true
+	}
+	r.mu.Lock()
+	full := r.nsubs >= r.cfg.MaxSubscribers
+	if !full {
+		r.nsubs++
+		r.stats.Subscribes++
+	}
+	r.mu.Unlock()
+	if !full {
+		r.insert(sh, addr, req, now.Add(lease), now)
+	}
+	return !full
+}
+
 // drain plays shard worker by hand (the white-box tests run none):
 // gather passes over every shard until one takes nothing, without
 // flushing. It returns what each subscriber would have been sent, in
@@ -75,27 +104,27 @@ func TestRejectsNonMulticastGroup(t *testing.T) {
 func TestSubscribeRefreshUnsubscribe(t *testing.T) {
 	_, _, r := newTestRelay(t, Config{Channel: 1})
 
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 1, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 1, 1, 10000))
 	if n := r.NumSubscribers(); n != 1 {
 		t.Fatalf("subscribers = %d, want 1", n)
 	}
 	// Refresh extends, not duplicates.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 1, 2, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 1, 2, 10000))
 	if n := r.NumSubscribers(); n != 1 {
 		t.Fatalf("after refresh subscribers = %d, want 1", n)
 	}
 	// Wildcard channel 0 is accepted by a channel-pinned relay.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
 	if n := r.NumSubscribers(); n != 2 {
 		t.Fatalf("after wildcard subscribers = %d, want 2", n)
 	}
 	// Wrong channel is refused.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.4:5004", 9, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.4:5004", 9, 1, 10000))
 	if n := r.NumSubscribers(); n != 2 {
 		t.Fatalf("after foreign-channel subscribers = %d, want 2", n)
 	}
 	// Zero lease cancels.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 1, 3, 0))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 1, 3, 0))
 	if n := r.NumSubscribers(); n != 1 {
 		t.Fatalf("after unsubscribe subscribers = %d, want 1", n)
 	}
@@ -123,17 +152,99 @@ func TestSubscribeRetransmittedInOnePass(t *testing.T) {
 	if st := r.Stats(); st.Subscribes != 1 || st.Refreshes != 1 {
 		t.Fatalf("stats = %+v, want 1 subscribe and 1 refresh", st)
 	}
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 3, 0))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 3, 0))
 	if n, subs := r.NumSubscribers(), r.Subscribers(); n != 0 || len(subs) != 0 {
 		t.Fatalf("after the cancel: count %d, table %+v, want an empty table", n, subs)
 	}
 }
 
+// TestOnePassAppliesInArrivalOrder: requests gathered into one pass act
+// in the order they arrived — a cancel ends the lease the Subscribe
+// ahead of it created a moment ago, and a Subscribe behind a cancel
+// starts a new one. Applying cancels ahead of the pass's grants left
+// [sub, cancel] holding a live lease. Each sequence runs on an open
+// relay and under the identity scheme with rising trailer sequences;
+// a cancel that arrives behind a newer sequence is a replay, and the
+// lease stays.
+func TestOnePassAppliesInArrivalOrder(t *testing.T) {
+	const from = lan.Addr("10.0.0.2:5004")
+	const sub, cancel = 10000, 0 // LeaseMs
+	type step struct {
+		leaseMs uint32
+		seq     uint64 // identity-trailer sequence (ident runs only)
+	}
+	cases := []struct {
+		name                  string
+		steps                 []step
+		identOnly             bool
+		leases                int
+		subs, unsubs, replays int64
+		acks                  int
+	}{
+		{name: "sub,cancel", steps: []step{{sub, 1}, {cancel, 2}}, leases: 0, subs: 1, unsubs: 1, acks: 1},
+		{name: "sub,cancel,sub", steps: []step{{sub, 1}, {cancel, 2}, {sub, 3}}, leases: 1, subs: 2, unsubs: 1, acks: 2},
+		{name: "cancel,sub", steps: []step{{cancel, 1}, {sub, 2}}, leases: 1, subs: 1, acks: 1},
+		{name: "sub(seq 5),cancel(seq 4)", steps: []step{{sub, 5}, {cancel, 4}}, identOnly: true,
+			leases: 1, subs: 1, replays: 1, acks: 1},
+	}
+	for _, tc := range cases {
+		for _, scheme := range []string{"none", "ident"} {
+			if tc.identOnly && scheme != "ident" {
+				continue
+			}
+			t.Run(tc.name+"/"+scheme, func(t *testing.T) {
+				var cfg Config
+				ring := security.NewKeyring([]byte("one-pass master"))
+				if scheme == "ident" {
+					cfg.Auth = ring.Relay()
+				}
+				sim, seg, r := newTestRelay(t, cfg)
+				client, err := seg.Attach(from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pass := make([]lan.Packet, len(tc.steps))
+				for i, st := range tc.steps {
+					pass[i] = subscribePkt(t, from, 0, uint32(i+1), st.leaseMs)
+					if scheme == "ident" {
+						signer := security.NewIdentitySignerAt(ring.Credential(1), 1, string(from), st.seq-1)
+						pass[i].Data = signer.Sign(pass[i].Data)
+					}
+				}
+				acks := 0
+				sim.Go("test", func() {
+					defer client.Close()
+					r.admitBatch(pass)
+					for {
+						if _, err := client.Recv(100 * time.Millisecond); err != nil {
+							return
+						}
+						acks++
+					}
+				})
+				sim.WaitIdle()
+				if n, table := r.NumSubscribers(), r.Subscribers(); n != tc.leases || len(table) != tc.leases {
+					t.Errorf("leases: count %d, table %+v, want %d", n, table, tc.leases)
+				}
+				st := r.Stats()
+				if st.Subscribes != tc.subs || st.Unsubscribes != tc.unsubs || st.ReplayDropped != tc.replays ||
+					st.Refreshes != 0 || st.AdmitBatches != 1 {
+					t.Errorf("stats = %+v, want %d subscribes, %d unsubscribes, %d replay drops in one pass",
+						st, tc.subs, tc.unsubs, tc.replays)
+				}
+				if acks != tc.acks {
+					t.Errorf("acks sent = %d, want %d (cancels and replays are not answered)", acks, tc.acks)
+				}
+			})
+		}
+	}
+}
+
 func TestSubscriberTableCap(t *testing.T) {
 	_, _, r := newTestRelay(t, Config{MaxSubscribers: 2})
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 1, 10000))
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
-	r.handleSubscribe(subscribePkt(t, "10.0.0.4:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.4:5004", 0, 1, 10000))
 	if n := r.NumSubscribers(); n != 2 {
 		t.Fatalf("subscribers = %d, want 2 (capped)", n)
 	}
@@ -141,7 +252,7 @@ func TestSubscriberTableCap(t *testing.T) {
 		t.Fatalf("rejected = %d, want 1", st.Rejected)
 	}
 	// A refresh of an existing subscriber still succeeds at the cap.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
 	if st := r.Stats(); st.Refreshes != 1 {
 		t.Fatalf("refreshes = %d, want 1", st.Refreshes)
 	}
@@ -152,8 +263,8 @@ func TestLeaseClamping(t *testing.T) {
 	// Below MinLease rounds up; above MaxLease clamps down. The granted
 	// value comes back in the expiry horizon.
 	now := r.clock.Now()
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 1, 1)) // 1 ms
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 3_600_000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 1, 1)) // 1 ms
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 3_600_000))
 	subs := r.Subscribers()
 	if len(subs) != 2 {
 		t.Fatalf("subscribers = %d", len(subs))
@@ -230,8 +341,8 @@ func TestLeaseExpirySweep(t *testing.T) {
 	var endStats Stats
 	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
-		r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 1, 2000))
-		r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 60000))
+		r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 1, 2000))
+		r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 60000))
 		// Queue something on the short-lease subscriber so expiry must
 		// also free the queue.
 		r.fanout(0, []byte{1, 2, 3})
@@ -523,9 +634,9 @@ func TestFanoutFiltersByChannel(t *testing.T) {
 	// zero channel-Y packets; a wildcard (channel 0) subscriber gets
 	// everything.
 	_, _, r := newTestRelay(t, Config{})
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 1, 1, 10000))
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 2, 1, 10000))
-	r.handleSubscribe(subscribePkt(t, "10.0.0.4:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 1, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 2, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.4:5004", 0, 1, 10000))
 	for ch := uint32(1); ch <= 2; ch++ {
 		data, err := (&proto.Data{Channel: ch, Epoch: 1, Seq: 1, Payload: []byte{byte(ch)}}).Marshal()
 		if err != nil {
@@ -648,7 +759,7 @@ func TestPathIDDistinctForIdenticalBindAddresses(t *testing.T) {
 func TestPathInfoPropagatesDeepestDownstream(t *testing.T) {
 	_, _, r := newTestRelay(t, Config{})
 	// Only speakers subscribed: the relay originates its own path.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 1, 10000))
 	if hops, pathID := r.pathInfo(); hops != 1 || pathID != r.PathID() {
 		t.Fatalf("pathInfo with speakers only = (%d, %d), want (1, own id %d)", hops, pathID, r.PathID())
 	}
@@ -813,7 +924,7 @@ func TestAuthChainedRelayLeasesUpstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := New(sim, c2, Config{Upstream: r1.Addr(), Auth: auth, UpstreamLease: 2 * time.Second})
+	r2, err := New(sim, c2, Config{Upstream: r1.Addr(), Auth: auth, UpstreamAuth: auth, UpstreamLease: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -863,7 +974,7 @@ func TestShedRedirectsNewSubscribersOnly(t *testing.T) {
 	}
 	// No siblings installed yet: threshold tripped, but the newcomer
 	// must still be admitted.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
 	if n := r.NumSubscribers(); n != 2 {
 		t.Fatalf("subscribers = %d, want 2 (no sibling, no shed)", n)
 	}
@@ -907,7 +1018,7 @@ func TestShedRedirectsNewSubscribersOnly(t *testing.T) {
 		t.Fatalf("subscribers = %d after shed, want 2", n)
 	}
 	// The established subscriber refreshes straight through the shed.
-	r.handleSubscribe(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.2:5004", 0, 2, 10000))
 	st := r.Stats()
 	if st.Redirects != 1 || st.Refreshes != 1 {
 		t.Fatalf("stats = %+v, want 1 redirect and 1 refresh", st)
@@ -929,7 +1040,7 @@ func TestShedOnPressure(t *testing.T) {
 	// which pins the next pressure sample to maximum.
 	r.fanout(0, []byte{1})
 	r.fanout(0, []byte{2})
-	r.handleSubscribe(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
+	r.handleRequest(subscribePkt(t, "10.0.0.3:5004", 0, 1, 10000))
 	st := r.Stats()
 	if st.Redirects != 1 || r.NumSubscribers() != 1 {
 		t.Fatalf("stats = %+v subs = %d, want the newcomer shed on pressure", st, r.NumSubscribers())

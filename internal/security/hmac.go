@@ -50,15 +50,22 @@ func (a *HMACAuth) Verify(pkt []byte) ([]byte, bool) {
 	return inner, true
 }
 
-// VerifyBatch implements BatchAuthenticator: one keyed hash, Reset
-// between packets, instead of a fresh HMAC construction (two hash
+// BindsIdentity implements RelayAuthenticator: the shared key proves
+// "a key holder", never which one.
+func (a *HMACAuth) BindsIdentity() bool { return false }
+
+// VerifySessionBatch implements RelayAuthenticator: one keyed hash,
+// Reset between packets, instead of a fresh HMAC construction (two hash
 // states plus the key schedule) per packet. After the first Sum the
 // hmac package caches the padded-key states, so every subsequent
-// packet costs only the data hashing itself. The shared-key tag does
-// not bind the source address, so srcs is ignored.
-func (a *HMACAuth) VerifyBatch(pkts [][]byte, _ []string) ([][]byte, []bool) {
-	inners := make([][]byte, len(pkts))
-	oks := make([]bool, len(pkts))
+// packet costs only the data hashing itself. The shared-key tag binds
+// neither the source address nor an identity, so srcs is ignored and
+// ids and seqs stay zero.
+func (a *HMACAuth) VerifySessionBatch(pkts [][]byte, _ []string) (inners [][]byte, ids []uint32, seqs []uint64, oks []bool) {
+	inners = make([][]byte, len(pkts))
+	ids = make([]uint32, len(pkts))
+	seqs = make([]uint64, len(pkts))
+	oks = make([]bool, len(pkts))
 	m := hmac.New(sha256.New, a.key)
 	var sum [sha256.Size]byte
 	for i, pkt := range pkts {
@@ -72,11 +79,13 @@ func (a *HMACAuth) VerifyBatch(pkts [][]byte, _ []string) ([][]byte, []bool) {
 			inners[i], oks[i] = inner, true
 		}
 	}
-	return inners, oks
+	return inners, ids, seqs, oks
 }
 
-// SignBatch implements BatchAuthenticator.
-func (a *HMACAuth) SignBatch(pkts [][]byte) [][]byte {
+// SignForBatch implements RelayAuthenticator, amortized like
+// VerifySessionBatch; every recipient shares the key, so ids is
+// ignored.
+func (a *HMACAuth) SignForBatch(_ []uint32, pkts [][]byte) [][]byte {
 	out := make([][]byte, len(pkts))
 	m := hmac.New(sha256.New, a.key)
 	var sum [sha256.Size]byte

@@ -195,11 +195,12 @@ func (a *IdentityAuth) Verify(pkt []byte) ([]byte, bool) {
 	return inner, true
 }
 
-// KeyringAuth is the relay side of the identity scheme. It implements
-// SessionAuthenticator; its plain Verify always fails, deliberately —
-// a request verified without its source address would reopen the
-// spoofed-source replay this scheme exists to close, so the relay's
-// control paths must use VerifySession.
+// KeyringAuth is the relay side of the identity scheme, a
+// RelayAuthenticator. It deliberately has no sourceless Verify — a
+// request verified without its source address would reopen the
+// spoofed-source replay this scheme exists to close — and no Sign: a
+// relay's own upstream lease signs as that relay's identity, through
+// Keyring.Signer.
 type KeyringAuth struct {
 	ring *Keyring
 
@@ -207,18 +208,14 @@ type KeyringAuth struct {
 	seq uint64
 }
 
-// Scheme implements Authenticator.
+// Scheme implements RelayAuthenticator.
 func (a *KeyringAuth) Scheme() proto.AuthScheme { return proto.AuthIdentity }
 
-// Sign implements Authenticator, signing as the reserved relay
-// identity 0. Replies to real subscribers go through SignFor.
-func (a *KeyringAuth) Sign(pkt []byte) []byte { return a.SignFor(0, pkt) }
+// BindsIdentity implements RelayAuthenticator.
+func (a *KeyringAuth) BindsIdentity() bool { return true }
 
-// Verify implements Authenticator by failing: see the type comment.
-func (a *KeyringAuth) Verify(pkt []byte) ([]byte, bool) { return nil, false }
-
-// SignFor implements SessionAuthenticator: ack direction, signed under
-// the recipient identity's credential.
+// SignFor wraps one reply, ack direction, signed under the recipient
+// identity's credential.
 func (a *KeyringAuth) SignFor(id uint32, pkt []byte) []byte {
 	a.mu.Lock()
 	a.seq++
@@ -232,7 +229,7 @@ func (a *KeyringAuth) SignFor(id uint32, pkt []byte) []byte {
 	return wrap(proto.AuthIdentity, pkt, trailer)
 }
 
-// SignForBatch implements SessionAuthenticator.
+// SignForBatch implements RelayAuthenticator.
 func (a *KeyringAuth) SignForBatch(ids []uint32, pkts [][]byte) [][]byte {
 	out := make([][]byte, len(pkts))
 	for i, pkt := range pkts {
@@ -241,8 +238,8 @@ func (a *KeyringAuth) SignForBatch(ids []uint32, pkts [][]byte) [][]byte {
 	return out
 }
 
-// VerifySession implements SessionAuthenticator: request direction,
-// tag recomputed under the claimed identity's credential with the
+// VerifySession unwraps one request that arrived from src: request
+// direction, tag recomputed under the claimed identity's credential with the
 // packet's actual UDP source bound in.
 func (a *KeyringAuth) VerifySession(pkt []byte, src string) (inner []byte, id uint32, seq uint64, ok bool) {
 	inner, trailer, ok := unwrap(proto.AuthIdentity, pkt)
@@ -258,7 +255,7 @@ func (a *KeyringAuth) VerifySession(pkt []byte, src string) (inner []byte, id ui
 	return inner, id, seq, true
 }
 
-// VerifySessionBatch implements SessionAuthenticator over a
+// VerifySessionBatch implements RelayAuthenticator over a
 // mixed-identity admission batch. Unlike the shared-key batch there is
 // no keyed state to amortize — every packet verifies under its own
 // credential — but one call still keeps the admission pipeline's shape

@@ -21,16 +21,15 @@ func readKeyFile(keyFile string) ([]byte, error) {
 	return key, nil
 }
 
-// LoadControlAuth builds the daemons' control-plane authenticator from
-// their -auth/-key-file flags: "none" (or "") disables authentication,
-// "hmac" reads the shared key from keyFile (trailing whitespace
-// trimmed). The per-subscriber "ident" scheme needs more context than
-// a key file — which side of the exchange, which identity, which
-// source address — so the daemons load it through LoadRelayAuth /
-// LoadClientAuth; asking for it here is an error naming them. The
-// one-way stream schemes (chain, HORS) sign a broadcast in one
-// direction and cannot authenticate the subscriber side.
-func LoadControlAuth(scheme, keyFile string) (Authenticator, error) {
+// loadShared resolves the schemes that are one key file and nothing
+// else: "none" (or "") is nil, "hmac" reads the shared key from keyFile
+// (trailing whitespace trimmed). The per-subscriber "ident" scheme
+// needs more context than a key file — which side of the exchange,
+// which identity, which source address — so it is loaded per side;
+// asking for it here is an error saying so. The one-way stream schemes
+// (chain, HORS) sign a broadcast in one direction and cannot
+// authenticate the subscriber side.
+func loadShared(scheme, keyFile string) (*HMACAuth, error) {
 	switch scheme {
 	case "", "none":
 		return nil, nil
@@ -50,15 +49,30 @@ func LoadControlAuth(scheme, keyFile string) (Authenticator, error) {
 	}
 }
 
-// LoadRelayAuth builds the verification side of the control plane:
-// LoadControlAuth plus "ident", where keyFile holds the chain master
+// LoadControlAuth builds a client-side control-plane authenticator
+// from the daemons' -auth/-key-file flags for the shared-key schemes:
+// nil for "none", the HMAC authenticator for "hmac". "ident" is an
+// error naming LoadRelayAuth / LoadClientAuth.
+func LoadControlAuth(scheme, keyFile string) (Authenticator, error) {
+	a, err := loadShared(scheme, keyFile)
+	if a == nil {
+		return nil, err // not a typed nil inside the interface
+	}
+	return a, nil
+}
+
+// LoadRelayAuth builds the verification side of the control plane: the
+// shared-key schemes plus "ident", where keyFile holds the chain master
 // key. The returned keyring is non-nil exactly for "ident" — the
 // daemon uses it to mint subscriber credentials and to derive its own
 // upstream-signing credential on a chained relay.
-func LoadRelayAuth(scheme, keyFile string) (Authenticator, *Keyring, error) {
+func LoadRelayAuth(scheme, keyFile string) (RelayAuthenticator, *Keyring, error) {
 	if scheme != "ident" {
-		a, err := LoadControlAuth(scheme, keyFile)
-		return a, nil, err
+		a, err := loadShared(scheme, keyFile)
+		if a == nil {
+			return nil, nil, err
+		}
+		return a, nil, nil
 	}
 	if keyFile == "" {
 		return nil, nil, fmt.Errorf("-auth ident requires -key-file (the chain master key)")

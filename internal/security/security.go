@@ -7,7 +7,10 @@ import (
 	"repro/internal/proto"
 )
 
-// Authenticator signs outgoing packets and verifies incoming ones.
+// Authenticator signs outgoing packets and verifies incoming ones: the
+// stream schemes, and the client side of the control plane (a
+// subscriber signing its requests and verifying the relay's replies).
+// The relay side is RelayAuthenticator.
 type Authenticator interface {
 	// Scheme identifies the wire scheme byte.
 	Scheme() proto.AuthScheme
@@ -18,46 +21,33 @@ type Authenticator interface {
 	Verify(pkt []byte) ([]byte, bool)
 }
 
-// BatchAuthenticator is an optional Authenticator extension for hot
-// paths that process many packets per gather pass (a relay admitting a
-// join storm): one call amortizes per-packet setup — for the HMAC
-// scheme, the keyed hash construction — across the whole batch. The
-// verdicts are bitwise identical to per-packet Verify/Sign; batching
-// changes cost, never outcome.
+// RelayAuthenticator is the relay side of the control plane: the one
+// interface a relay verifies requests and signs replies through,
+// whatever the scheme. It is batch-shaped (a relay admits a gather pass
+// at a time; a batch of one is the single case) and source-aware
+// (srcs[i] is the UDP source pkts[i] arrived from). Batching changes
+// cost — the shared-key scheme keys one hash for the whole pass —
+// never a verdict.
 //
-// The batch may mix identities: srcs[i] is the UDP source address
-// pkts[i] arrived from, which source-binding schemes (the per-subscriber
-// identity scheme) fold into the verified payload. Schemes that do not
-// bind the source (HMAC) ignore it.
-type BatchAuthenticator interface {
-	Authenticator
-	// VerifyBatch verifies every packet: inners[i] is pkts[i] unwrapped
-	// when oks[i], nil otherwise. srcs[i] is pkts[i]'s UDP source; nil
-	// srcs is allowed for schemes that ignore it.
-	VerifyBatch(pkts [][]byte, srcs []string) (inners [][]byte, oks []bool)
-	// SignBatch wraps every packet with its authentication trailer.
-	SignBatch(pkts [][]byte) [][]byte
-}
-
-// SessionAuthenticator is the relay-side face of the per-subscriber
-// identity scheme (AuthIdentity): requests carry the sender's identity
-// ID and a monotonic sequence, and the tag binds the datagram's UDP
-// source address. The relay keeps the last-seen sequence in the
-// subscriber session and uses identity + sequence as its replay window;
-// replies are signed per recipient identity.
-type SessionAuthenticator interface {
-	Authenticator
-	// VerifySession unwraps a request that arrived from src, returning
-	// the claimed identity and trailer sequence alongside the inner
-	// packet. ok is false when the tag does not verify for that
-	// identity, source, and sequence.
-	VerifySession(pkt []byte, src string) (inner []byte, id uint32, seq uint64, ok bool)
-	// VerifySessionBatch is the batched form of VerifySession over a
-	// mixed-identity admission batch.
+// A scheme either binds identities (the per-subscriber scheme,
+// proto.AuthIdentity: every request names who signed it and carries a
+// monotonic sequence, the tag binds the UDP source, and replies are
+// signed per recipient) or it does not (the shared key, proto.AuthHMAC:
+// one identity, 0, and no sequence). BindsIdentity says which, so the
+// relay asks the scheme rather than its type.
+type RelayAuthenticator interface {
+	// Scheme identifies the wire scheme byte.
+	Scheme() proto.AuthScheme
+	// BindsIdentity reports whether verified requests carry an identity
+	// and a sequence the relay must hold a lease's later requests to.
+	// When false, ids and seqs from VerifySessionBatch are all zero.
+	BindsIdentity() bool
+	// VerifySessionBatch verifies every request: inners[i] is pkts[i]
+	// unwrapped when oks[i], nil otherwise; ids[i] and seqs[i] are who
+	// signed it and with what sequence. All four results have len(pkts).
 	VerifySessionBatch(pkts [][]byte, srcs []string) (inners [][]byte, ids []uint32, seqs []uint64, oks []bool)
-	// SignFor wraps a reply addressed to the named identity.
-	SignFor(id uint32, pkt []byte) []byte
-	// SignForBatch wraps each reply for its recipient identity.
+	// SignForBatch wraps each reply for its recipient identity. A scheme
+	// that binds none ignores ids (nil is allowed).
 	SignForBatch(ids []uint32, pkts [][]byte) [][]byte
 }
 

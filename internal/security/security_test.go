@@ -366,7 +366,6 @@ func BenchmarkHORSVerifyGarbage(b *testing.B) {
 func TestHMACBatchMatchesPerPacket(t *testing.T) {
 	a := NewHMAC([]byte("group secret"))
 	forger := NewHMAC([]byte("wrong key"))
-	var _ BatchAuthenticator = a // the relay's batched admission path depends on it
 
 	pkts := [][]byte{
 		a.Sign([]byte("first packet")),
@@ -375,9 +374,10 @@ func TestHMACBatchMatchesPerPacket(t *testing.T) {
 		[]byte("ga"), // too short to even unwrap
 		a.Sign([]byte("")),
 	}
-	inners, oks := a.VerifyBatch(pkts, nil)
-	if len(inners) != len(pkts) || len(oks) != len(pkts) {
-		t.Fatalf("batch sizes: %d inners, %d oks for %d packets", len(inners), len(oks), len(pkts))
+	inners, ids, seqs, oks := a.VerifySessionBatch(pkts, nil)
+	if len(inners) != len(pkts) || len(ids) != len(pkts) || len(seqs) != len(pkts) || len(oks) != len(pkts) {
+		t.Fatalf("batch sizes: %d inners, %d ids, %d seqs, %d oks for %d packets",
+			len(inners), len(ids), len(seqs), len(oks), len(pkts))
 	}
 	for i, pkt := range pkts {
 		wantInner, wantOK := a.Verify(pkt)
@@ -387,13 +387,119 @@ func TestHMACBatchMatchesPerPacket(t *testing.T) {
 		if wantOK && !bytes.Equal(inners[i], wantInner) {
 			t.Errorf("packet %d: batch inner %q, per-packet %q", i, inners[i], wantInner)
 		}
+		if ids[i] != 0 || seqs[i] != 0 {
+			t.Errorf("packet %d: shared key reported identity %d seq %d, want none", i, ids[i], seqs[i])
+		}
 	}
 
 	plain := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
-	signed := a.SignBatch(plain)
+	signed := a.SignForBatch(nil, plain)
 	for i, pkt := range plain {
 		if !bytes.Equal(signed[i], a.Sign(pkt)) {
 			t.Errorf("packet %d: batch signature differs from per-packet Sign", i)
 		}
+	}
+}
+
+// TestRelayAuthenticatorTable drives both relay-side schemes through
+// the one interface the relay's control pipeline uses: the same table
+// of genuine and hostile requests, one VerifySessionBatch call each,
+// and replies signed with SignForBatch verifying at the client they
+// were addressed to.
+func TestRelayAuthenticatorTable(t *testing.T) {
+	const src, elsewhere = "10.0.0.7:5004", "10.0.66.1:5004"
+	ring := NewKeyring([]byte("master"))
+	shared := NewHMAC([]byte("group secret"))
+	schemes := []struct {
+		name   string
+		relay  RelayAuthenticator
+		client func() Authenticator // a fresh genuine signer at src
+		forger Authenticator        // right scheme, wrong key
+		other  Authenticator        // a genuine signer of the other scheme
+		binds  bool
+	}{
+		{"hmac", shared, func() Authenticator { return shared },
+			NewHMAC([]byte("wrong key")), ring.Signer(7, src), false},
+		{"ident", ring.Relay(), func() Authenticator { return ring.Signer(7, src) },
+			NewKeyring([]byte("someone else's master")).Signer(7, src), shared, true},
+	}
+	for _, sc := range schemes {
+		t.Run(sc.name, func(t *testing.T) {
+			if sc.relay.BindsIdentity() != sc.binds {
+				t.Fatalf("BindsIdentity = %v, want %v", sc.relay.BindsIdentity(), sc.binds)
+			}
+			client := sc.client()
+			body := []byte("subscribe body")
+			good := client.Sign(body)
+			trailer := len(good) - len(body)
+			wrongScheme := append([]byte(nil), good...)
+			wrongScheme[len(wrongScheme)-1] ^= 0x40
+			cases := []struct {
+				name string
+				pkt  []byte
+				src  string
+				ok   bool
+			}{
+				{"genuine", good, src, true},
+				{"forged tag", sc.forger.Sign(body), src, false},
+				{"wrong scheme byte", wrongScheme, src, false},
+				{"other scheme's trailer", sc.other.Sign(body), src, false},
+				{"truncated trailer", good[:len(good)-trailer/2], src, false},
+				{"no trailer at all", body, src, false},
+				{"genuine, second of the pass", client.Sign(body), src, true},
+				// The source is part of the verdict exactly when the
+				// scheme binds identities.
+				{"genuine bytes, another source", client.Sign(body), elsewhere, !sc.binds},
+			}
+			pkts := make([][]byte, len(cases))
+			srcs := make([]string, len(cases))
+			for i, c := range cases {
+				pkts[i], srcs[i] = c.pkt, c.src
+			}
+			inners, ids, seqs, oks := sc.relay.VerifySessionBatch(pkts, srcs)
+			if len(inners) != len(cases) || len(ids) != len(cases) || len(seqs) != len(cases) || len(oks) != len(cases) {
+				t.Fatalf("result lengths %d/%d/%d/%d, want %d each", len(inners), len(ids), len(seqs), len(oks), len(cases))
+			}
+			var lastSeq uint64
+			for i, c := range cases {
+				if oks[i] != c.ok {
+					t.Errorf("%s: ok = %v, want %v", c.name, oks[i], c.ok)
+					continue
+				}
+				switch {
+				case !c.ok:
+					if inners[i] != nil {
+						t.Errorf("%s: rejected but inner = %q", c.name, inners[i])
+					}
+				case !bytes.Equal(inners[i], body):
+					t.Errorf("%s: inner = %q, want the body", c.name, inners[i])
+				case !sc.binds:
+					if ids[i] != 0 || seqs[i] != 0 {
+						t.Errorf("%s: identity %d seq %d from a scheme that binds none", c.name, ids[i], seqs[i])
+					}
+				case ids[i] != 7 || seqs[i] <= lastSeq:
+					t.Errorf("%s: identity %d seq %d, want identity 7 and a seq above %d", c.name, ids[i], seqs[i], lastSeq)
+				default:
+					lastSeq = seqs[i]
+				}
+			}
+
+			// Replies: signed in one call, each verifies at its
+			// recipient; under ident, only at its recipient.
+			acks := [][]byte{[]byte("ack one"), []byte("ack two")}
+			signed := sc.relay.SignForBatch([]uint32{7, 8}, acks)
+			if len(signed) != len(acks) {
+				t.Fatalf("SignForBatch returned %d replies for %d", len(signed), len(acks))
+			}
+			if inner, ok := client.Verify(signed[0]); !ok || !bytes.Equal(inner, acks[0]) {
+				t.Errorf("the reply addressed to this client did not verify (ok=%v inner=%q)", ok, inner)
+			}
+			if _, ok := client.Verify(signed[1]); ok == sc.binds {
+				t.Errorf("a reply addressed to identity 8 verified=%v at identity 7, want %v", ok, !sc.binds)
+			}
+			if _, ok := sc.forger.Verify(signed[0]); ok {
+				t.Error("a reply verified under the wrong key")
+			}
+		})
 	}
 }

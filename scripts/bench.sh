@@ -1,6 +1,8 @@
 #!/bin/sh
-# Run the relay perf benchmarks and record the trajectory as
-# BENCH_10.json: the fan-out table (ns/pkt plus the relay's own hot-path
+# Run the relay's simulator-inclusive perf benchmarks and record their
+# rows as JSON in an untracked file (bench-trajectory.json unless
+# BENCH_OUT names another; bench/ is the repo's gated benchmark, on real
+# sockets — see bench/README.md): the fan-out table (ns/pkt plus the relay's own hot-path
 # histogram percentiles, measured with the ops endpoint live and being
 # scraped — the numbers price the relay as deployed), the join-storm
 # admission table (subscribes/sec, batched vs per-packet verification,
@@ -15,7 +17,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 : "${BENCHTIME:=1x}"
-: "${BENCH_OUT:=BENCH_10.json}"
+: "${BENCH_OUT:=bench-trajectory.json}"
 BENCH_JSON="$BENCH_OUT" go test -run '^$' -bench '^(BenchmarkRelayFanout|BenchmarkJoinStorm|BenchmarkDVRCatchup)$' \
 	-benchtime "$BENCHTIME" .
 echo "wrote $BENCH_OUT:"
