@@ -8,7 +8,9 @@
 // The fan-out path is sharded and batched: subscribers hash onto
 // -shards shards, and outgoing datagrams are accumulated into batches
 // of up to -batch and written with one sendmmsg call (on Linux). A
-// partial batch is flushed after -flush at the latest. -shard-sockets
+// partial batch goes out the moment its shard has nothing more to send;
+// only a batch of replayed (-dvr) packets waits, -flush at the longest.
+// -shard-sockets
 // additionally gives every shard its own send socket (data then comes
 // from ephemeral ports — LAN/routed deployments only, it breaks NATed
 // subscribers). -gso upgrades the batch write to UDP_SEGMENT

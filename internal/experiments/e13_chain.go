@@ -23,6 +23,12 @@ type E13Result struct {
 	Discovered    bool  // first hop found through the catalog
 	LoopRefusals  int64 // SubLoop refusals issued by the deliberate cycle
 	LoopRefused   int64 // upstream leases refused inside the cycle
+	// AddedDelay is what the chain costs a listener in synchronisation:
+	// the median, over channel-1 data packets, of arrival at the
+	// subscriber behind the chain minus arrival of the same (epoch, seq)
+	// at a listener on the group, on the simulated clock. §3.2 anchors
+	// the producer's clock at arrival, so this is skew between the two.
+	AddedDelay time.Duration
 }
 
 // E13Chain validates relay chaining end to end: a 3-hop relay chain
@@ -30,18 +36,23 @@ type E13Result struct {
 // stream across segments, the first hop is discovered through the §4.3
 // catalog, a channel-1 subscriber on the channel-0 chain receives zero
 // channel-2 packets, and a deliberately configured relay cycle is
-// refused with SubLoop instead of forwarding forever.
+// refused with SubLoop instead of forwarding forever. It also measures
+// what the chain adds to a packet's arrival time over a listener on the
+// group: the hops' segment latencies and nothing else — no relay holds a
+// live packet on a timer.
 func E13Chain(w io.Writer, hops int) E13Result {
 	if hops <= 0 {
 		hops = 3
 	}
 	section(w, "E13 (chain)", "multi-hop relay chaining, discovery, and loop refusal")
 	res := e13Run(hops)
-	tab := stats.Table{Headers: []string{"hops", "data@last-hop", "leaked", "discovered", "loop refusals", "loop refused"}}
+	tab := stats.Table{Headers: []string{"hops", "data@last-hop", "leaked", "discovered", "loop refusals", "loop refused", "added delay"}}
 	tab.AddRow(res.Hops, res.DataAtLastHop, res.LeakPackets,
-		fmt.Sprint(res.Discovered), res.LoopRefusals, res.LoopRefused)
+		fmt.Sprint(res.Discovered), res.LoopRefusals, res.LoopRefused, res.AddedDelay)
 	tab.Render(w)
 	fmt.Fprintf(w, "  leaked must be 0 (per-subscriber channel filter) and loop refusals nonzero (SubLoop)\n")
+	fmt.Fprintf(w, "  added delay (chain subscriber vs group listener, median) must stay below the relay's replay flush interval, %v\n",
+		relay.DefaultFlushInterval)
 	return res
 }
 
@@ -101,6 +112,12 @@ func e13Run(hops int) E13Result {
 		return res
 	}
 	counts := make(map[uint32]int64)
+	type packetID struct {
+		epoch uint32
+		seq   uint64
+	}
+	behindChain := make(map[packetID]time.Time) // channel-1 arrivals at sub
+	onGroup := make(map[packetID]time.Time)     // and at a listener on the group
 	lastAddr := last.Addr()
 	sys.Clock.Go("subscriber", func() {
 		req, _ := (&proto.Subscribe{Channel: 1, Seq: 1, LeaseMs: 60000}).Marshal()
@@ -114,6 +131,27 @@ func e13Run(hops int) E13Result {
 			}
 			if d, err := proto.UnmarshalData(pkt.Data); err == nil {
 				counts[d.Channel]++
+				if d.Channel == 1 {
+					behindChain[packetID{d.Epoch, d.Seq}] = pkt.Recv
+				}
+			}
+		}
+	})
+	listener, err := sys.Net.Attach("10.0.98.3:5004")
+	if err != nil {
+		return res
+	}
+	if err := listener.Join(groupA); err != nil {
+		return res
+	}
+	sys.Clock.Go("group-listener", func() {
+		for {
+			pkt, err := listener.Recv(0)
+			if err != nil {
+				return
+			}
+			if d, err := proto.UnmarshalData(pkt.Data); err == nil && d.Channel == 1 {
+				onGroup[packetID{d.Epoch, d.Seq}] = pkt.Recv
 			}
 		}
 	})
@@ -135,12 +173,20 @@ func e13Run(hops int) E13Result {
 		loopB.Stop()
 		sys.Shutdown()
 		sub.Close()
+		listener.Close()
 	})
 	sys.Sim.WaitIdle()
 
 	res.DataAtLastHop = counts[1]
 	res.LeakPackets = counts[2]
 	res.Discovered = discoverErr == nil && discovered.Addr != ""
+	var added []float64
+	for id, at := range behindChain {
+		if ref, ok := onGroup[id]; ok {
+			added = append(added, float64(at.Sub(ref)))
+		}
+	}
+	res.AddedDelay = time.Duration(stats.Summarize(added).P50)
 	sa, sb := loopA.Stats(), loopB.Stats()
 	res.LoopRefusals = sa.Loops + sb.Loops
 	res.LoopRefused = sa.UpstreamRefused + sb.UpstreamRefused

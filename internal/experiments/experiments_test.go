@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/relay"
 )
 
 // The experiment tests assert the paper's qualitative shapes — who wins,
@@ -411,6 +413,13 @@ func TestE13Shape(t *testing.T) {
 	}
 	if res.LoopRefusals == 0 || res.LoopRefused == 0 {
 		t.Fatalf("relay cycle not refused: %+v", res)
+	}
+	// §3.2's zero-transmission-delay assumption, through three relays: a
+	// hop costs its segment's latency, and no relay parks a live packet
+	// on its flush timer.
+	if res.AddedDelay <= 0 || res.AddedDelay >= relay.DefaultFlushInterval {
+		t.Fatalf("the chain adds %v to a packet's arrival, want under the flush interval (%v): a relay is holding live packets on a timer: %+v",
+			res.AddedDelay, relay.DefaultFlushInterval, res)
 	}
 }
 

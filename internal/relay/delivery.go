@@ -279,6 +279,10 @@ func (r *Relay) next(sh *shard, sub *subscriber, slot *[]byte, p *pass) ([]byte,
 type batch struct {
 	dgs    []lan.Datagram
 	owners []*subscriber // owners[i] is the subscriber behind dgs[i]
+	// live is set once the batch holds a packet taken at the head of the
+	// arrival sequence, as opposed to one replayed from the recorded
+	// history: such a batch is never held back (see shardWorker).
+	live bool
 	// slots[i] backs dgs[i] when that packet was read from the deep
 	// ring: a buffer per batch position, reused only after the flush, so
 	// backlog packets gathered into one batch never alias.
@@ -306,6 +310,9 @@ func (r *Relay) gather(sh *shard, b *batch) (progress bool, wait time.Duration) 
 		if data != nil {
 			b.dgs = append(b.dgs, lan.Datagram{To: sub.addr, Data: data})
 			b.owners = append(b.owners, sub)
+			// next hands a replay cursor recorded history only: one that
+			// has left replay was served from the live window.
+			b.live = b.live || !sub.replay
 		} else if w > 0 && (wait == 0 || w < wait) {
 			wait = w
 		}
@@ -324,14 +331,26 @@ type flushTrigger int
 
 const (
 	flushSize     flushTrigger = iota // batch reached cfg.Batch
-	flushDeadline                     // partial batch aged out (FlushInterval)
-	flushQuiesce                      // relay stopping; drain what's left
+	flushDeadline                     // replay-only batch waited out FlushInterval
+	flushQuiesce                      // the shard ran dry, or the relay is stopping
 )
 
-// shardWorker turns its shard's cursors into lan.Datagram batches. A
-// batch flushes when full (size), when a partial batch has waited
-// FlushInterval for company (deadline), or when the relay stops
-// (quiesce). The actual sends happen outside the shard lock.
+// shardWorker turns its shard's cursors into lan.Datagram batches, and
+// is work-conserving about it: a batch flushes when full (size) or the
+// moment a gather pass takes nothing more (quiesce — every cursor at the
+// head, paused, or out of tokens; the relay stopping is the last such
+// flush). A packet taken at the head therefore never waits on a timer:
+// a relay's hold time is skew between the speakers behind it and those
+// on the group (§3.2 anchors the producer's clock at arrival), and at
+// audio rates the only company a linger could collect is the next
+// packet, a whole period away. Batches still fill under load without
+// one — while a flush is in WriteBatch outside the shard lock, arrivals
+// pile up behind the cursors and the next pass gathers them together.
+// The one batch that does wait is a replay-only batch with a paced
+// replay due: its packets are seconds old by construction, so it is held
+// for FlushInterval (deadline) — the tick on which a DVR catch-up
+// cohort's token buckets refill together, so the next pass fills a batch
+// instead of sending each subscriber's packet on its own.
 func (r *Relay) shardWorker(sh *shard) {
 	defer func() {
 		if sh.ownConn {
@@ -345,7 +364,7 @@ func (r *Relay) shardWorker(sh *shard) {
 	b := batch{dgs: lan.GetBatch(), slots: make([][]byte, r.cfg.Batch)}
 	defer func() { lan.PutBatch(b.dgs) }() // reuse pool: zero steady-state allocation
 	for {
-		b.dgs, b.owners = b.dgs[:0], b.owners[:0]
+		b.dgs, b.owners, b.live = b.dgs[:0], b.owners[:0], false
 		var deadline time.Time
 		trigger := flushQuiesce
 		sh.mu.Lock()
@@ -362,8 +381,12 @@ func (r *Relay) shardWorker(sh *shard) {
 				continue // cursors may still be behind the head
 			}
 			if len(b.dgs) > 0 {
-				// Partial batch and every cursor at the head: linger
-				// briefly for more work, but never past the flush deadline.
+				if b.live || wait == 0 {
+					break // ran dry: send what there is, now
+				}
+				// Replay only, and a token is due: hold the batch, but
+				// never past the flush deadline. An arrival wakes the wait
+				// early, and taking it makes the batch live.
 				if deadline.IsZero() {
 					deadline = r.clock.Now().Add(r.cfg.FlushInterval)
 				}

@@ -27,8 +27,10 @@
 // with its own worker task, lock, and (when a Network is configured)
 // send socket; the workers walk their cursors round-robin into
 // lan.Datagram batches and flush them with one WriteBatch call
-// (sendmmsg on Linux) when the batch fills, when a partial batch has
-// lingered for the flush interval, or when the relay quiesces.
+// (sendmmsg on Linux) when the batch fills or the moment a pass takes
+// nothing more — a live packet never waits on a timer. Only a batch of
+// replayed packets whose subscribers are out of tokens is held, for the
+// flush interval at most.
 //
 // Relays chain: a Relay configured with an Upstream address is itself
 // a subscriber — it leases the stream from another relay (through the

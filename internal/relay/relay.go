@@ -50,10 +50,11 @@ const (
 	// DefaultBatch is the fan-out batch size: how many datagrams a shard
 	// worker accumulates before one WriteBatch flush.
 	DefaultBatch = 32
-	// DefaultFlushInterval bounds how long a partial batch may linger
-	// before it is flushed anyway; it is pure added latency for the
-	// packets in the batch, so it stays well inside the speakers'
-	// synchronization epsilon.
+	// DefaultFlushInterval is how long a batch holding replayed packets
+	// only (DVR catch-up, seconds old by construction) is held while its
+	// subscribers' token buckets refill — the tick that batches a
+	// catch-up cohort's sends. A batch with a live packet in it is never
+	// held: a relay's hold time is skew against listeners on the group.
 	DefaultFlushInterval = 2 * time.Millisecond
 	// DefaultAdmitBatch is how many queued control requests the admission
 	// worker gathers per pass: verification, lease-table insertion, ack
@@ -123,7 +124,8 @@ type Config struct {
 	// is its own send call (the pre-batching baseline, kept for
 	// comparison benchmarks).
 	Batch int
-	// FlushInterval overrides DefaultFlushInterval.
+	// FlushInterval overrides DefaultFlushInterval: the longest a
+	// replay-only batch waits. Live packets never wait on it.
 	FlushInterval time.Duration
 	// Network, when set, gives every shard its own send socket attached
 	// at an ephemeral port, so shard workers never serialize on one
@@ -326,8 +328,8 @@ type Stats struct {
 	// size — the syscall amortization factor on a real network.
 	Batches       int64 `mib:"es.relay.fanout.batches" help:"WriteBatch flushes issued"`
 	FlushSize     int64 `mib:"es.relay.fanout.flush.size" help:"flushes triggered by a full batch"`
-	FlushDeadline int64 `mib:"es.relay.fanout.flush.deadline" help:"partial batches flushed on the flush interval"`
-	FlushQuiesce  int64 `mib:"es.relay.fanout.flush.quiesce" help:"partial batches flushed at shutdown"`
+	FlushDeadline int64 `mib:"es.relay.fanout.flush.deadline" help:"replay-only batches (DVR catch-up) flushed after waiting the flush interval"`
+	FlushQuiesce  int64 `mib:"es.relay.fanout.flush.quiesce" help:"partial batches flushed because the shard ran dry (nothing more to gather, or the relay stopping)"`
 
 	// Delivery-profile telemetry: the quality ladder and the per-profile
 	// encode path. TranscodeEncodes advances once per active non-source

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,16 @@ const testGroup = lan.Addr("239.72.5.1:5004")
 // Run — the white-box tests drive packet handling directly.
 func newTestRelay(t *testing.T, cfg Config) (*vclock.Sim, *lan.Segment, *Relay) {
 	t.Helper()
+	return newTestRelayOn(t, lan.SegmentConfig{}, cfg)
+}
+
+// newTestRelayOn is newTestRelay on a segment of the caller's choosing:
+// the flush-timing tests give it a latency, so that a packet's arrival
+// on the simulated clock says when the relay sent it.
+func newTestRelayOn(t *testing.T, segCfg lan.SegmentConfig, cfg Config) (*vclock.Sim, *lan.Segment, *Relay) {
+	t.Helper()
 	sim := vclock.NewSim(time.Time{})
-	seg := lan.NewSegment(sim, lan.SegmentConfig{})
+	seg := lan.NewSegment(sim, segCfg)
 	conn, err := seg.Attach("10.0.0.1:5006")
 	if err != nil {
 		t.Fatal(err)
@@ -433,96 +442,258 @@ func TestUnicastInjectionNotRelayed(t *testing.T) {
 	}
 }
 
-func TestPartialBatchFlushedOnDeadline(t *testing.T) {
-	// Three packets against a batch size of 8: the batch never fills, so
-	// the worker must flush it on the flush interval, as one batch.
-	sim, _, r := newTestRelay(t, Config{
-		Batch: 8, FlushInterval: 5 * time.Millisecond,
-	})
+// flushLatency is the flush-timing tests' segment latency: a packet the
+// relay sends at t arrives at t + flushLatency on the simulated clock.
+const flushLatency = 100 * time.Microsecond
+
+// starvedReplayConfig is a one-shard DVR relay whose replays are paced at
+// one packet a second: a time-shifted join's seed token buys its first
+// recorded packet and the next is a second away, so that packet sits in a
+// replay-only batch with a refill due — the one batch a worker holds,
+// for flush at the longest.
+func starvedReplayConfig(flush time.Duration) Config {
+	return Config{Channel: 1, DVR: true, DVRBurst: 1, Shards: 1, Batch: 8, FlushInterval: flush}
+}
+
+// attachAll attaches one endpoint per address.
+func attachAll(t *testing.T, seg *lan.Segment, addrs ...lan.Addr) []lan.Conn {
+	t.Helper()
+	conns := make([]lan.Conn, len(addrs))
+	for i, a := range addrs {
+		c, err := seg.Attach(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	return conns
+}
+
+// recvStream returns the next stream packet c receives, skipping the
+// SubAcks that answer its Subscribe on the same socket; it reports false,
+// and the failure, when none comes within a second.
+func recvStream(t *testing.T, c lan.Conn) (lan.Packet, bool) {
+	t.Helper()
+	for {
+		pkt, err := c.Recv(time.Second)
+		if err != nil {
+			t.Errorf("%s: no stream packet: %v", c.LocalAddr(), err)
+			return lan.Packet{}, false
+		}
+		if typ, _, err := proto.PeekType(pkt.Data); err == nil && (typ == proto.TypeControl || typ == proto.TypeData) {
+			return pkt, true
+		}
+	}
+}
+
+func TestDrainedLiveBatchFlushedAtOnce(t *testing.T) {
+	// Three packets against a batch size of 8: the pass that takes them
+	// leaves the shard dry, so they leave as one batch at that instant.
+	// No timer sits on a live packet's path — the flush interval here is
+	// a minute, and the receives below give up after a second.
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency},
+		Config{Batch: 8, FlushInterval: time.Minute})
+	sub := attachAll(t, seg, "10.0.0.2:5004")[0]
 	var st Stats
-	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
+		defer sub.Close()
+		defer r.Stop()
+		sim.Sleep(7 * time.Millisecond)
 		if !r.subscribe("10.0.0.2:5004", &proto.Subscribe{Channel: 0}, time.Minute) {
 			t.Error("subscribe failed")
 		}
+		injected := sim.Now()
 		r.fanout(0, []byte{1})
 		r.fanout(0, []byte{2})
 		r.fanout(0, []byte{3})
-		sim.Sleep(50 * time.Millisecond)
+		// The workers start only now, so that all three wait behind the
+		// cursor whenever the first pass runs.
+		sim.Go("relay", r.Run)
+		for want := byte(1); want <= 3; want++ {
+			pkt, err := sub.Recv(time.Second)
+			if err != nil {
+				t.Errorf("packet %d: %v", want, err)
+				return
+			}
+			if len(pkt.Data) != 1 || pkt.Data[0] != want {
+				t.Errorf("packet %d carries %v", want, pkt.Data)
+			}
+			if at := pkt.Recv.Sub(injected); at != flushLatency {
+				t.Errorf("packet %d arrived %v after injection, want the segment's %v", want, at, flushLatency)
+			}
+		}
 		st = r.Stats()
-		r.Stop()
 	})
 	sim.WaitIdle()
-	if st.FanoutSent != 3 {
-		t.Fatalf("fanout sent = %d, want 3 (stats %+v)", st.FanoutSent, st)
+	if st.FanoutSent != 3 || st.Batches != 1 {
+		t.Fatalf("want one batch carrying all 3: %+v", st)
 	}
-	if st.FlushDeadline != 1 || st.Batches != 1 || st.FlushSize != 0 {
-		t.Fatalf("want exactly one deadline flush carrying all 3: %+v", st)
+	if st.FlushQuiesce != 1 || st.FlushDeadline != 0 || st.FlushSize != 0 {
+		t.Fatalf("want that batch flushed because the shard ran dry: %+v", st)
+	}
+}
+
+func TestPartialBatchFlushedOnDeadline(t *testing.T) {
+	// The one batch that still waits: replayed packets only, with the
+	// replay's token bucket empty. It is held for the flush interval, no
+	// longer, and counted as a deadline flush.
+	const flushInterval = 5 * time.Millisecond
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig(flushInterval))
+	sub := attachAll(t, seg, "10.0.0.2:5004")[0]
+	var st Stats
+	sim.Go("relay", r.Run)
+	sim.Go("test", func() {
+		defer sub.Close()
+		defer r.Stop()
+		feedStream(t, r, 1, 1)
+		// The seed token buys the first recorded packet; the next is a
+		// second away, so the pass after it goes dry at this instant.
+		dry := sim.Now()
+		r.Inject(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
+		pkt, ok := recvStream(t, sub)
+		if !ok {
+			return
+		}
+		if held := pkt.Recv.Sub(dry) - flushLatency; held <= 0 || held > flushInterval {
+			t.Errorf("replay-only batch held %v, want within (0, %v]", held, flushInterval)
+		}
+		st = r.Stats()
+	})
+	sim.WaitIdle()
+	if st.FanoutSent != 1 || st.Batches != 1 || st.DVRBacklog != 1 {
+		t.Fatalf("want one batch carrying the one replayed packet: %+v", st)
+	}
+	if st.FlushDeadline != 1 || st.FlushQuiesce != 0 || st.FlushSize != 0 {
+		t.Fatalf("want that batch flushed by deadline: %+v", st)
+	}
+}
+
+func TestLiveBesideReplayNotHeld(t *testing.T) {
+	// One shard holds a token-starved replay and a live subscriber. The
+	// replay's packet is parked behind an hour-long flush interval; a
+	// live packet must not join it there. It is sent at once — taking
+	// the parked packet with it — each subscriber's packets stay in
+	// order, and every payload is the bytes that came in.
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig(time.Hour))
+	conns := attachAll(t, seg, "10.0.0.2:5004", "10.0.0.3:5004")
+	replay, live := conns[0], conns[1]
+	var st Stats
+	sim.Go("relay", r.Run)
+	sim.Go("test", func() {
+		defer replay.Close()
+		defer live.Close()
+		defer r.Stop()
+		feedStream(t, r, 1, 1) // recorded: a Control, then Data 1..10
+		recorded := [][]byte{controlPkt(t, 1, 1), dataPkt(t, 1, 1, 1, 320)}
+		r.Inject(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
+		r.Inject(subscribePkt(t, "10.0.0.3:5004", 1, 1, 60_000))
+		// Round 0 finds the replay's first packet (bought with its seed
+		// token) parked; round 1 comes after its next token, one a second,
+		// has bought and parked the second.
+		for i, after := range []time.Duration{3 * time.Millisecond, 1500 * time.Millisecond} {
+			data := dataPkt(t, 1, 1, uint64(11+i), 320)
+			sim.Sleep(after)
+			if got := r.Stats(); got.DVRBacklog != int64(i+1) || got.Batches != int64(i) {
+				t.Errorf("round %d: want the replay's packet gathered and still parked: %+v", i, got)
+			}
+			injected := sim.Now()
+			r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
+			for _, c := range []struct {
+				name string
+				conn lan.Conn
+				want []byte
+			}{{"live", live, data}, {"replay", replay, recorded[i]}} {
+				pkt, ok := recvStream(t, c.conn)
+				if !ok {
+					return
+				}
+				if at := pkt.Recv.Sub(injected); at != flushLatency {
+					t.Errorf("round %d: %s subscriber's packet arrived %v after the live injection, want %v",
+						i, c.name, at, flushLatency)
+				}
+				if !bytes.Equal(pkt.Data, c.want) {
+					t.Errorf("round %d: %s subscriber got %x, want %x", i, c.name, pkt.Data, c.want)
+				}
+			}
+		}
+		st = r.Stats()
+	})
+	sim.WaitIdle()
+	if st.FanoutSent != 4 || st.Batches != 2 || st.DVRBacklog != 2 {
+		t.Fatalf("want two batches of one live and one replayed packet each: %+v", st)
+	}
+	if st.FlushQuiesce != 2 || st.FlushDeadline != 0 || st.FlushSize != 0 {
+		t.Fatalf("want both flushed because the shard ran dry: %+v", st)
 	}
 }
 
 func TestPartialBatchFlushedOnShutdown(t *testing.T) {
-	// A partial batch is parked behind an hour-long flush interval; Stop
-	// must still deliver it (quiesce flush) before any socket closes.
-	sim, seg, r := newTestRelay(t, Config{Batch: 8, FlushInterval: time.Hour})
-	sub, err := seg.Attach("10.0.0.2:5004")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got int
-	var st Stats
-	sim.Go("drain", func() {
-		for {
-			if _, err := sub.Recv(0); err != nil {
-				return
-			}
-			got++
-		}
-	})
+	// Three replays' first packets are parked behind an hour-long flush
+	// interval — the one kind of batch that waits. Stop must still
+	// deliver it (quiesce flush) before any socket closes: nothing
+	// gathered is lost at shutdown.
+	sim, seg, r := newTestRelay(t, starvedReplayConfig(time.Hour))
+	addrs := []lan.Addr{"10.0.0.2:5004", "10.0.0.3:5004", "10.0.0.4:5004"}
+	subs := attachAll(t, seg, addrs...)
+	var parked, st Stats
+	got := make([]int, len(subs))
 	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
-		if !r.subscribe("10.0.0.2:5004", &proto.Subscribe{Channel: 0}, time.Minute) {
-			t.Error("subscribe failed")
+		feedStream(t, r, 1, 1)
+		for _, a := range addrs {
+			r.Inject(shiftSubPkt(t, a, 1, 1, 60_000, 1_000))
 		}
-		r.fanout(0, []byte{1})
-		r.fanout(0, []byte{2})
-		r.fanout(0, []byte{3})
 		sim.Sleep(10 * time.Millisecond) // far short of the flush interval
+		parked = r.Stats()
 		r.Stop()
 		st = r.Stats()
 		sim.Sleep(10 * time.Millisecond) // let deliveries land
-		sub.Close()
+		for i, c := range subs {
+			for {
+				pkt, err := c.Recv(time.Millisecond)
+				if err != nil {
+					break
+				}
+				if typ, _, _ := proto.PeekType(pkt.Data); typ == proto.TypeControl {
+					got[i]++
+				}
+			}
+			c.Close()
+		}
 	})
 	sim.WaitIdle()
-	if st.FlushQuiesce != 1 || st.FanoutSent != 3 || st.SendErrors != 0 {
+	if parked.DVRBacklog != 3 || parked.Batches != 0 || parked.FanoutSent != 0 {
+		t.Fatalf("before Stop: want 3 packets gathered and none sent: %+v", parked)
+	}
+	if st.Batches != 1 || st.FlushQuiesce != 1 || st.FanoutSent != 3 || st.SendErrors != 0 {
 		t.Fatalf("quiesce flush missing or lossy: %+v", st)
 	}
-	if got != 3 {
-		t.Fatalf("subscriber received %d of 3 packets parked at shutdown", got)
+	for i, n := range got {
+		if n != 1 {
+			t.Fatalf("%s received %d of the 1 packet parked for it at shutdown", addrs[i], n)
+		}
 	}
 }
 
 func TestSubscriberExpiringMidBatch(t *testing.T) {
-	// The sweeper removes a subscriber while its packets sit in a
-	// worker's pending batch. The flush must still complete and the
-	// accounting stay consistent — sends to a departed address are just
-	// UDP datagrams nobody reads.
-	sim, _, r := newTestRelay(t, Config{
-		Batch:         8,
-		FlushInterval: 20 * time.Millisecond,
-		SweepInterval: time.Millisecond,
-	})
+	// The sweeper removes a subscriber while its packet sits in a
+	// worker's pending batch (a replay's, parked for the flush interval).
+	// The flush must still complete and the accounting stay consistent —
+	// a send to a departed address is just a UDP datagram nobody reads.
+	sim, _, r := newTestRelay(t, starvedReplayConfig(5*time.Second))
 	var st Stats
 	var subs int
 	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
-		if !r.subscribe("10.0.0.2:5004", &proto.Subscribe{Channel: 0}, time.Millisecond) {
-			t.Error("subscribe failed")
+		feedStream(t, r, 1, 1)
+		// The lease (clamped up to MinLease) runs out at 1s and is swept
+		// by 2s; the parked batch deadline-flushes at 5s.
+		r.Inject(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 1, 1_000))
+		sim.Sleep(4 * time.Second)
+		if mid := r.Stats(); mid.Expired != 1 || mid.Batches != 0 {
+			t.Errorf("want the lease gone with its packet still parked: %+v", mid)
 		}
-		r.fanout(0, []byte{1})
-		r.fanout(0, []byte{2})
-		// Lease runs out at 1ms; the batch deadline-flushes at 20ms.
-		sim.Sleep(100 * time.Millisecond)
+		sim.Sleep(2 * time.Second)
 		st = r.Stats()
 		subs = r.NumSubscribers()
 		r.Stop()
@@ -531,7 +702,7 @@ func TestSubscriberExpiringMidBatch(t *testing.T) {
 	if st.Expired != 1 || subs != 0 {
 		t.Fatalf("subscriber not expired: %d subs, stats %+v", subs, st)
 	}
-	if st.FanoutSent != 2 || st.Batches != 1 {
+	if st.FanoutSent != 1 || st.Batches != 1 || st.FlushDeadline != 1 {
 		t.Fatalf("mid-batch expiry corrupted the flush: %+v", st)
 	}
 }
