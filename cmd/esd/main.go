@@ -25,7 +25,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	stdnet "net"
@@ -44,46 +43,35 @@ import (
 )
 
 func main() {
-	var (
-		group    = flag.String("group", "239.72.1.1:5004", "channel multicast group, a relay's unicast address, or 'discover' to find a relay in the catalog")
-		catalog  = flag.String("catalog", "239.72.0.1:5003", "catalog group queried by -group discover")
-		chanID   = flag.Uint("channel", 0, "channel id to request when -group is a relay (0 = whatever it carries)")
-		local    = flag.String("local", "0.0.0.0:5004", "local bind address")
-		mgmtAt   = flag.String("mgmt", "", "management agent bind address (empty disables)")
-		name     = flag.String("name", "es", "speaker name")
-		authFlag = flag.String("auth", "none", "relay control-plane auth scheme: none, hmac, or ident (must match the relay's -auth)")
-		keyFile  = flag.String("key-file", "", "file holding the shared relay key (-auth hmac) or this speaker's hex credential (-auth ident; mint with relayd -mint-identity)")
-		identity = flag.Uint("identity", 0, "this speaker's subscriber identity (with -auth ident; needs a routable -local, the relay binds the signature to it)")
-		out      = flag.String("out", "-", "raw PCM output: '-' for stdout, or a file path")
-		statsI   = flag.Duration("stats", 10*time.Second, "stats report interval (0 disables)")
-		opsAddr  = flag.String("ops-addr", "", "ops HTTP endpoint: /metrics, /snapshot, /trace, /healthz, /debug/pprof (empty = off)")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // flag package already printed the problem
+	}
 	log.SetPrefix("esd: ")
 	log.SetFlags(0)
 
-	if *authFlag == "ident" {
+	if o.auth == "ident" {
 		// The identity signature covers the source address the relay
 		// observes; a wildcard bind signs for an address the subscribe
 		// never appears to come from, so every request would be dropped.
-		if ip := stdnet.ParseIP(lan.Addr(*local).Host()); ip == nil || ip.IsUnspecified() {
-			log.Fatalf("-auth ident needs a routable -local address, not %q: the relay verifies the signature against the source address it sees", *local)
+		if ip := stdnet.ParseIP(lan.Addr(o.local).Host()); ip == nil || ip.IsUnspecified() {
+			log.Fatalf("-auth ident needs a routable -local address, not %q: the relay verifies the signature against the source address it sees", o.local)
 		}
 	}
-	relayAuth, err := security.LoadClientAuth(*authFlag, *keyFile,
-		uint32(*identity), string(lan.Addr(*local)), uint64(time.Now().UnixNano()))
+	relayAuth, err := security.LoadClientAuth(o.auth, o.keyFile,
+		uint32(o.identity), string(lan.Addr(o.local)), uint64(time.Now().UnixNano()))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	var sink *os.File
-	switch *out {
+	switch o.out {
 	case "-":
 		sink = os.Stdout
 	case "":
 		sink = nil
 	default:
-		f, err := os.Create(*out)
+		f, err := os.Create(o.out)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,27 +82,22 @@ func main() {
 	clock := vclock.System
 	net := &lan.UDPNetwork{}
 
-	if *group == "discover" {
+	group := lan.Addr(o.group)
+	if o.group == "discover" {
 		// Find a bridge through the §4.3 catalog instead of static
 		// configuration — the tune-in path for speakers that can reach
 		// the catalog group but not the channel's own.
 		ri, err := relay.Discover(clock, net,
-			lan.Addr(stdnet.JoinHostPort(lan.Addr(*local).Host(), "0")),
-			lan.Addr(*catalog), uint32(*chanID), 15*time.Second, nil, nil)
+			lan.Addr(stdnet.JoinHostPort(lan.Addr(o.local).Host(), "0")),
+			lan.Addr(o.catalog), uint32(o.channel), 15*time.Second, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		*group = ri.Addr
+		group = lan.Addr(ri.Addr)
 		log.Printf("discovered relay %s (relaying %s)", ri.Addr, ri.Group)
 	}
 
-	sp, err := speaker.New(clock, net, speaker.Config{
-		Name:      *name,
-		Local:     lan.Addr(*local),
-		Group:     lan.Addr(*group),
-		Channel:   uint32(*chanID),
-		RelayAuth: relayAuth,
-	})
+	sp, err := speaker.New(clock, net, o.speakerConfig(group, relayAuth))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,10 +107,10 @@ func main() {
 		})
 	}
 
-	if *opsAddr != "" {
+	if o.opsAddr != "" {
 		reg := obs.NewRegistry()
 		sp.RegisterObs(reg)
-		srv, err := obs.Serve(*opsAddr, reg)
+		srv, err := obs.Serve(o.opsAddr, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -135,9 +118,9 @@ func main() {
 		log.Printf("ops endpoint at http://%s/metrics", srv.Addr())
 	}
 
-	if *mgmtAt != "" {
-		mib := mgmt.SpeakerMIB(*name, sp)
-		agent, err := mgmt.NewAgent(clock, net, lan.Addr(*mgmtAt), mib)
+	if o.mgmtAt != "" {
+		mib := mgmt.SpeakerMIB(o.name, sp)
+		agent, err := mgmt.NewAgent(clock, net, lan.Addr(o.mgmtAt), mib)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -146,10 +129,10 @@ func main() {
 		defer agent.Stop()
 	}
 
-	if *statsI > 0 {
+	if o.stats > 0 {
 		clock.Go("stats", func() {
 			for {
-				clock.Sleep(*statsI)
+				clock.Sleep(o.stats)
 				st := sp.Stats()
 				fmt.Fprintf(os.Stderr,
 					"esd: ctl=%d data=%d played=%dB late=%d gaps=%d auth-drop=%d\n",

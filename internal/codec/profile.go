@@ -15,9 +15,9 @@ import (
 // source passthrough, G.711 µ-law (2:1), and two OVL quality points.
 //
 // Profile numbers are wire values (proto.Subscribe/SubAck carry one
-// byte): ProfileSource is deliberately zero so a legacy body that
-// never mentions profiles reads as "source passthrough", and the
-// ladder is ordered best-first so "downgrade" is numerically +1.
+// byte): ProfileSource is deliberately zero so a subscriber that never
+// sets a profile asks for "source passthrough", and the ladder is
+// ordered best-first so "downgrade" is numerically +1.
 
 // Profile identifies one rung of the delivery quality ladder.
 type Profile uint8
@@ -27,7 +27,7 @@ type Profile uint8
 // requested profile.
 const (
 	// ProfileSource forwards the upstream payload untouched (the wire
-	// zero value: what every pre-profile subscriber gets).
+	// zero value).
 	ProfileSource Profile = 0
 	// ProfileULaw transcodes to G.711 µ-law: 2:1, negligible CPU.
 	ProfileULaw Profile = 1

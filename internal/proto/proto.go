@@ -12,13 +12,25 @@ import (
 const (
 	// Magic is the two-byte packet prefix "ES".
 	Magic = 0x4553
-	// Version is the protocol version this package speaks.
-	Version = 1
+	// Version is the protocol version this package speaks, and the only
+	// compatibility rule: every packet type has exactly one body per
+	// version, and PeekType refuses any other version outright.
+	Version = 2
 	// headerLen is the fixed common header: magic(2) version(1) type(1)
 	// channel(4).
 	headerLen = 8
 	// maxString bounds every length-prefixed string on the wire.
 	maxString = 255
+
+	// SubscribeBodyLen is the one Subscribe body: seq(4) leasems(4)
+	// hops(1) pathid(8) profile(1) shiftms(4).
+	SubscribeBodyLen = 22
+	// SubAckBodyLen is the fixed SubAck body: seq(4) leasems(4) status(1)
+	// profile(1) shiftms(4). A SubRedirect appends the redirect string.
+	SubAckBodyLen = 14
+	// announceSigLen is the fixed part of an announce's signature
+	// section: scheme(1) gen(4) siglen(2).
+	announceSigLen = 7
 )
 
 // PacketType discriminates the packet kinds.
@@ -144,7 +156,7 @@ type ChannelInfo struct {
 // The load vector (HasLoad and the fields after it) is the record's
 // optional self-reported load, re-stamped on every advertise so
 // discovery can rank candidates and shedding can pick the least-loaded
-// sibling. Records from pre-load announcers parse with HasLoad false.
+// sibling. A static catalog record has none (HasLoad false).
 type RelayInfo struct {
 	Addr    string // unicast "addr:port" subscribers lease from
 	Group   string // multicast group relayed, or the upstream relay's address for a chained relay
@@ -160,9 +172,9 @@ type RelayInfo struct {
 // dominates, queue pressure breaks ties among equally-subscribed
 // relays, and hops-from-source breaks ties among equally-pressured
 // ones (a shorter chain adds less latency and fewer failure points).
-// A record without a load vector scores behind every record with one —
-// in a mixed deployment an announcer that reports its load is always
-// preferred over one that cannot.
+// A record without a load vector scores behind every record with one:
+// an announcer that reports its load is always preferred over a static
+// record that cannot.
 func (ri RelayInfo) LoadScore() uint64 {
 	if !ri.HasLoad {
 		return 1 << 63
@@ -179,15 +191,15 @@ type Announce struct {
 	Channels []ChannelInfo
 	Relays   []RelayInfo
 
-	// Signature section (absent on legacy announcers): a forged catalog
-	// record is the one remaining way to steer subscribers to a rogue
-	// relay, so a catalog may sign each announce with a few-time key.
-	// The signature covers every byte that precedes the section plus
-	// SigGen, the key generation it was made under (announces outlive
-	// any single few-time key, so signers rotate generations and
-	// verifiers derive or look up the matching public key). An unsigned
-	// announce still parses — whether it is *accepted* is the
-	// receiver's policy, not the grammar's.
+	// Signature section: a forged catalog record is the one remaining
+	// way to steer subscribers to a rogue relay, so a catalog may sign
+	// each announce with a few-time key. The signature covers every
+	// byte that precedes the section plus SigGen, the key generation it
+	// was made under (announces outlive any single few-time key, so
+	// signers rotate generations and verifiers derive or look up the
+	// matching public key). An unsigned announce (scheme AuthNone, no
+	// generation, no signature) still parses — whether it is *accepted*
+	// is the receiver's policy, not the grammar's.
 	SigScheme AuthScheme // scheme the signature uses (AuthNone = unsigned)
 	SigGen    uint32     // signing key generation
 	Sig       []byte     // signature over the preceding bytes + SigGen
@@ -371,12 +383,10 @@ func UnmarshalData(data []byte) (*Data, error) {
 	return d, nil
 }
 
-// Marshal encodes the announce packet. A catalog with no relays omits
-// the relay section entirely, staying byte-compatible with pre-relay
-// parsers. A signature section, when present, is always last; Marshal
-// emits one when Sig is nonempty (signers usually marshal unsigned and
-// append via AppendAnnounceSig, since the signature covers the
-// marshaled prefix).
+// Marshal encodes the announce packet: channels, relay records (each
+// with its flags byte and, when HasLoad, its load vector inline), then
+// the signature section. Signers usually marshal unsigned and sign the
+// result (the signature covers the marshaled prefix).
 func (a *Announce) Marshal() ([]byte, error) {
 	if len(a.Channels) > 255 {
 		return nil, fmt.Errorf("%w: %d channels", ErrBadPacket, len(a.Channels))
@@ -406,85 +416,63 @@ func (a *Announce) Marshal() ([]byte, error) {
 		}
 		buf = appendParams(buf, ci.Params)
 	}
-	if len(a.Relays) > 0 {
-		buf = append(buf, byte(len(a.Relays)))
-		for _, ri := range a.Relays {
-			if buf, err = appendString(buf, ri.Addr); err != nil {
-				return nil, err
-			}
-			if buf, err = appendString(buf, ri.Group); err != nil {
-				return nil, err
-			}
-			var chb [4]byte
-			binary.BigEndian.PutUint32(chb[:], ri.Channel)
-			buf = append(buf, chb[:]...)
+	buf = append(buf, byte(len(a.Relays)))
+	for _, ri := range a.Relays {
+		if buf, err = appendString(buf, ri.Addr); err != nil {
+			return nil, err
 		}
-		hasLoad := false
-		for _, ri := range a.Relays {
-			if ri.HasLoad {
-				hasLoad = true
-				break
-			}
+		if buf, err = appendString(buf, ri.Group); err != nil {
+			return nil, err
 		}
-		if hasLoad {
-			// Load section: a count byte (must match the relay count)
-			// then one flags byte per record, followed by the 6-byte
-			// load vector when flags bit 0 is set. Per-record flags let
-			// a catalog mix live records (which stamp load) with static
-			// ones (which cannot).
-			buf = append(buf, byte(len(a.Relays)))
-			for _, ri := range a.Relays {
-				if !ri.HasLoad {
-					buf = append(buf, 0)
-					continue
-				}
-				var lb [7]byte
-				lb[0] = 1
-				binary.BigEndian.PutUint32(lb[1:5], ri.Subs)
-				lb[5] = ri.Pressure
-				lb[6] = ri.Hops
-				buf = append(buf, lb[:]...)
-			}
+		// Channel, then the flags byte; bit 0 announces the 6-byte load
+		// vector. Per-record flags let a catalog mix live records (which
+		// stamp load) with static ones (which cannot).
+		var rb [11]byte
+		binary.BigEndian.PutUint32(rb[0:4], ri.Channel)
+		if !ri.HasLoad {
+			buf = append(buf, rb[:5]...)
+			continue
 		}
-	}
-	if len(a.Sig) == 0 {
-		// Unsigned: omit the section entirely, staying byte-compatible
-		// with pre-signature parsers.
-		return buf, nil
-	}
-	if a.SigScheme == AuthNone {
-		return nil, fmt.Errorf("%w: signature without a scheme", ErrBadPacket)
+		rb[4] = 1
+		binary.BigEndian.PutUint32(rb[5:9], ri.Subs)
+		rb[9] = ri.Pressure
+		rb[10] = ri.Hops
+		buf = append(buf, rb[:]...)
 	}
 	return AppendAnnounceSig(buf, a.SigScheme, a.SigGen, a.Sig)
 }
 
-// AppendAnnounceSig appends the signature section to an announce
-// marshaled without one. The section is always last and opens with a
-// zero marker byte — a value no relay-count or load-count byte the
-// parser could confuse it with ever takes (both sections are omitted
-// entirely when empty) — so signed and unsigned announces coexist at
-// every section combination:
+// AppendAnnounceSig appends the signature section — always present,
+// always last — to an announce prefix (everything before the section:
+// what SplitAnnounceSig returns, and what a signature covers):
 //
-//	0x00 marker || u8 scheme || u32 gen || u16 siglen || sig
+//	u8 scheme || u32 gen || u16 siglen || sig
 //
-// The signature must cover pkt plus gen; AppendAnnounceSig only frames
-// it.
-func AppendAnnounceSig(pkt []byte, scheme AuthScheme, gen uint32, sig []byte) ([]byte, error) {
-	if scheme == AuthNone {
-		return nil, fmt.Errorf("%w: signature without a scheme", ErrBadPacket)
+// Scheme AuthNone is the unsigned form and carries neither generation
+// nor signature; any other scheme carries a nonempty signature. The
+// signature must cover prefix plus gen; AppendAnnounceSig only frames
+// it, into a fresh buffer.
+func AppendAnnounceSig(prefix []byte, scheme AuthScheme, gen uint32, sig []byte) ([]byte, error) {
+	if err := checkAnnounceSig(scheme, gen, len(sig)); err != nil {
+		return nil, err
 	}
-	if len(sig) == 0 || len(sig) > 65535 {
-		return nil, fmt.Errorf("%w: signature of %d bytes", ErrBadPacket, len(sig))
-	}
-	out := make([]byte, 0, len(pkt)+8+len(sig))
-	out = append(out, pkt...)
-	var fixed [8]byte
-	fixed[0] = 0 // section marker
-	fixed[1] = byte(scheme)
-	binary.BigEndian.PutUint32(fixed[2:6], gen)
-	binary.BigEndian.PutUint16(fixed[6:8], uint16(len(sig)))
-	out = append(out, fixed[:]...)
+	var fixed [announceSigLen]byte
+	fixed[0] = byte(scheme)
+	binary.BigEndian.PutUint32(fixed[1:5], gen)
+	binary.BigEndian.PutUint16(fixed[5:7], uint16(len(sig)))
+	out := append(prefix[:len(prefix):len(prefix)], fixed[:]...)
 	return append(out, sig...), nil
+}
+
+// checkAnnounceSig is the signature section's consistency rule, held on
+// both sides of the wire: unsigned means no generation and no
+// signature, signed means a nonempty signature the u16 length can state.
+func checkAnnounceSig(scheme AuthScheme, gen uint32, siglen int) error {
+	if (scheme == AuthNone) != (siglen == 0) || (scheme == AuthNone && gen != 0) || siglen > 65535 {
+		return fmt.Errorf("%w: scheme %s with generation %d and a %d-byte signature",
+			ErrBadPacket, scheme, gen, siglen)
+	}
+	return nil
 }
 
 // UnmarshalAnnounce parses an announce packet.
@@ -494,34 +482,30 @@ func UnmarshalAnnounce(data []byte) (*Announce, error) {
 }
 
 // SplitAnnounceSig splits a marshaled announce into the prefix its
-// signature covers and the signature fields. For a legacy unsigned
-// announce signed is false and prefix is the whole packet. The packet
-// is fully parsed, so a malformed announce errors here exactly as it
-// would in UnmarshalAnnounce.
+// signature covers (everything before the signature section) and the
+// signature fields; signed is false for an unsigned announce. The
+// packet is fully parsed, so a malformed announce errors here exactly
+// as it would in UnmarshalAnnounce.
 func SplitAnnounceSig(data []byte) (prefix []byte, scheme AuthScheme, gen uint32, sig []byte, signed bool, err error) {
 	a, sigStart, err := unmarshalAnnounce(data)
 	if err != nil {
 		return nil, AuthNone, 0, nil, false, err
 	}
-	if a.SigScheme == AuthNone {
-		return data, AuthNone, 0, nil, false, nil
-	}
-	return data[:sigStart], a.SigScheme, a.SigGen, a.Sig, true, nil
+	return data[:sigStart], a.SigScheme, a.SigGen, a.Sig, a.SigScheme != AuthNone, nil
 }
 
 // unmarshalAnnounce parses an announce and reports where its signature
-// section starts (len(data) when unsigned) so verifiers can recover the
-// signed prefix. Each optional section is recognized by its first byte:
-// the relay and load sections open with a nonzero count (both are
-// omitted entirely when empty), the signature section with a zero
-// marker.
+// section starts so verifiers can recover the signed prefix.
 func unmarshalAnnounce(data []byte) (*Announce, int, error) {
-	t, _, err := PeekType(data)
+	t, ch, err := PeekType(data)
 	if err != nil {
 		return nil, 0, err
 	}
 	if t != TypeAnnounce {
 		return nil, 0, fmt.Errorf("%w: expected announce, got %s", ErrBadPacket, t)
+	}
+	if ch != 0 {
+		return nil, 0, fmt.Errorf("%w: announce on channel %d", ErrBadPacket, ch)
 	}
 	body := data[headerLen:]
 	if len(body) < 9 {
@@ -551,82 +535,55 @@ func unmarshalAnnounce(data []byte) (*Announce, int, error) {
 		}
 		a.Channels = append(a.Channels, ci)
 	}
-	if len(body) > 0 && body[0] != 0 {
-		// Relay section (absent in pre-relay announces).
-		rcount := int(body[0])
-		body = body[1:]
-		for i := 0; i < rcount; i++ {
-			var ri RelayInfo
-			if ri.Addr, body, err = readString(body); err != nil {
-				return nil, 0, err
-			}
-			if ri.Group, body, err = readString(body); err != nil {
-				return nil, 0, err
-			}
-			if len(body) < 4 {
+	if len(body) < 1 {
+		return nil, 0, ErrShort
+	}
+	rcount := int(body[0])
+	body = body[1:]
+	for i := 0; i < rcount; i++ {
+		var ri RelayInfo
+		if ri.Addr, body, err = readString(body); err != nil {
+			return nil, 0, err
+		}
+		if ri.Group, body, err = readString(body); err != nil {
+			return nil, 0, err
+		}
+		if len(body) < 5 {
+			return nil, 0, ErrShort
+		}
+		ri.Channel = binary.BigEndian.Uint32(body[0:4])
+		flags := body[4]
+		body = body[5:]
+		if flags&^byte(1) != 0 {
+			return nil, 0, fmt.Errorf("%w: unknown relay record flags %#x", ErrBadPacket, flags)
+		}
+		if flags&1 != 0 {
+			if len(body) < 6 {
 				return nil, 0, ErrShort
 			}
-			ri.Channel = binary.BigEndian.Uint32(body[0:4])
-			body = body[4:]
-			a.Relays = append(a.Relays, ri)
+			ri.HasLoad = true
+			ri.Subs = binary.BigEndian.Uint32(body[0:4])
+			ri.Pressure = body[4]
+			ri.Hops = body[5]
+			body = body[6:]
 		}
-		if len(body) > 0 && body[0] != 0 {
-			// Load section (absent in pre-load announces).
-			if int(body[0]) != rcount {
-				return nil, 0, fmt.Errorf("%w: load section counts %d relays, record section %d",
-					ErrBadPacket, body[0], rcount)
-			}
-			body = body[1:]
-			for i := 0; i < rcount; i++ {
-				if len(body) < 1 {
-					return nil, 0, ErrShort
-				}
-				flags := body[0]
-				body = body[1:]
-				if flags&^byte(1) != 0 {
-					return nil, 0, fmt.Errorf("%w: unknown load flags %#x", ErrBadPacket, flags)
-				}
-				if flags&1 == 0 {
-					continue
-				}
-				if len(body) < 6 {
-					return nil, 0, ErrShort
-				}
-				ri := &a.Relays[i]
-				ri.HasLoad = true
-				ri.Subs = binary.BigEndian.Uint32(body[0:4])
-				ri.Pressure = body[4]
-				ri.Hops = body[5]
-				body = body[6:]
-			}
-		}
+		a.Relays = append(a.Relays, ri)
 	}
 	sigStart := len(data) - len(body)
-	if len(body) > 0 {
-		// Signature section (absent in pre-signature announces): the
-		// zero marker byte, then scheme, generation, and the signature.
-		if len(body) < 8 {
-			return nil, 0, ErrShort
-		}
-		a.SigScheme = AuthScheme(body[1])
-		if a.SigScheme == AuthNone {
-			return nil, 0, fmt.Errorf("%w: signature without a scheme", ErrBadPacket)
-		}
-		a.SigGen = binary.BigEndian.Uint32(body[2:6])
-		slen := int(binary.BigEndian.Uint16(body[6:8]))
-		body = body[8:]
-		if slen == 0 {
-			return nil, 0, fmt.Errorf("%w: empty signature", ErrBadPacket)
-		}
-		if len(body) < slen {
-			return nil, 0, ErrShort
-		}
-		a.Sig = append([]byte(nil), body[:slen]...)
-		body = body[slen:]
+	if len(body) < announceSigLen {
+		return nil, 0, ErrShort
 	}
-	if len(body) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(body))
+	a.SigScheme = AuthScheme(body[0])
+	a.SigGen = binary.BigEndian.Uint32(body[1:5])
+	slen := int(binary.BigEndian.Uint16(body[5:7]))
+	body = body[announceSigLen:]
+	if err := checkAnnounceSig(a.SigScheme, a.SigGen, slen); err != nil {
+		return nil, 0, err
 	}
+	if len(body) != slen {
+		return nil, 0, fmt.Errorf("%w: signature length %d != declared %d", ErrBadPacket, len(body), slen)
+	}
+	a.Sig = append([]byte(nil), body...) // nil when unsigned
 	return a, sigStart, nil
 }
 
@@ -678,15 +635,14 @@ func (s SubStatus) String() string {
 //
 // Profile is the requested delivery profile (codec.Profile wire
 // values): the quality-ladder rung the subscriber wants the relay to
-// serve it at. Zero — also what every legacy body reads as — requests
-// source passthrough. The relay answers with the profile it actually
-// granted (SubAck.Profile) and may serve a lower rung under pressure.
+// serve it at; zero requests source passthrough. The relay answers
+// with the profile it actually granted (SubAck.Profile) and may serve
+// a lower rung under pressure.
 //
 // ShiftMs is the requested time shift: "start my stream from this many
-// milliseconds ago", served from the relay's DVR generation ring. Zero
-// — the only value a legacy body can read as — means live. The relay
-// clamps the request to what its ring still holds and answers with the
-// shift actually granted (SubAck.ShiftMs).
+// milliseconds ago", served from the relay's DVR generation ring; zero
+// means live. The relay clamps the request to what its ring still
+// holds and answers with the shift actually granted (SubAck.ShiftMs).
 type Subscribe struct {
 	Channel uint32 // channel identifier
 	Seq     uint32 // request sequence, echoed in the SubAck
@@ -714,60 +670,28 @@ type SubAck struct {
 	// "go elsewhere" must always say where).
 	Redirect string
 	// ShiftMs is the time shift actually granted, clamped to the DVR
-	// ring's reach; 0 = live. It is emitted only when nonzero — a
-	// trailing section a legacy parser would reject — which is safe
-	// because only a subscriber that requested a shift (proving it
-	// speaks the extension) can be granted one. A redirect grants
-	// nothing, so it never carries a shift.
+	// ring's reach; 0 = live. A redirect grants nothing, so it never
+	// carries a shift.
 	ShiftMs uint32
 }
 
-// Marshal encodes the subscribe packet. Every optional section is
-// omitted when it is all-zero, so each subscriber emits the shortest
-// body an older parser still accepts: a plain speaker requesting
-// source quality emits the legacy 8-byte body, a speaker requesting a
-// profile appends one byte (9), a chained relay emits the 17-byte
-// pathed body, and a pathed request with a profile appends the byte
-// to that (18). A time-shift request appends 4 more bytes after the
-// profile byte — which it forces present, even at Source, so the
-// shift's offset is unambiguous — giving bodies of 13 (shift, no
-// path) or 22 (path + shift).
+// Marshal encodes the subscribe packet: always the SubscribeBodyLen
+// body, every field at a fixed offset.
 func (s *Subscribe) Marshal() ([]byte, error) {
-	n := 17
-	if s.Hops == 0 && s.PathID == 0 {
-		n = 8
-	}
-	if s.Profile != 0 || s.ShiftMs != 0 {
-		n++
-	}
-	if s.ShiftMs != 0 {
-		n += 4
-	}
-	buf := make([]byte, headerLen+n)
+	buf := make([]byte, headerLen+SubscribeBodyLen)
 	putHeader(buf, TypeSubscribe, s.Channel)
-	binary.BigEndian.PutUint32(buf[headerLen:headerLen+4], s.Seq)
-	binary.BigEndian.PutUint32(buf[headerLen+4:headerLen+8], s.LeaseMs)
-	p := headerLen + 8
-	if s.Hops != 0 || s.PathID != 0 {
-		buf[p] = s.Hops
-		binary.BigEndian.PutUint64(buf[p+1:p+9], s.PathID)
-		p += 9
-	}
-	if s.Profile != 0 || s.ShiftMs != 0 {
-		buf[p] = s.Profile
-		p++
-	}
-	if s.ShiftMs != 0 {
-		binary.BigEndian.PutUint32(buf[p:p+4], s.ShiftMs)
-	}
+	body := buf[headerLen:]
+	binary.BigEndian.PutUint32(body[0:4], s.Seq)
+	binary.BigEndian.PutUint32(body[4:8], s.LeaseMs)
+	body[8] = s.Hops
+	binary.BigEndian.PutUint64(body[9:17], s.PathID)
+	body[17] = s.Profile
+	binary.BigEndian.PutUint32(body[18:22], s.ShiftMs)
 	return buf, nil
 }
 
-// UnmarshalSubscribe parses a subscribe packet. Six body lengths are
-// accepted: 8 (legacy, no path or profile), 9 (profile only), 17
-// (path only), 18 (path + profile), 13 (profile + shift), and 22
-// (path + profile + shift). Absent fields read as zero — exactly what
-// a sender predating them would mean.
+// UnmarshalSubscribe parses a subscribe packet. The body is exactly
+// SubscribeBodyLen bytes; any other length is malformed.
 func UnmarshalSubscribe(data []byte) (*Subscribe, error) {
 	t, ch, err := PeekType(data)
 	if err != nil {
@@ -777,40 +701,27 @@ func UnmarshalSubscribe(data []byte) (*Subscribe, error) {
 		return nil, fmt.Errorf("%w: expected subscribe, got %s", ErrBadPacket, t)
 	}
 	body := data[headerLen:]
-	if len(body) < 8 {
+	if len(body) < SubscribeBodyLen {
 		return nil, ErrShort
 	}
-	switch len(body) {
-	case 8, 9, 13, 17, 18, 22:
-	default:
+	if len(body) != SubscribeBodyLen {
 		return nil, fmt.Errorf("%w: subscribe body of %d bytes", ErrBadPacket, len(body))
 	}
-	s := &Subscribe{
+	return &Subscribe{
 		Channel: ch,
 		Seq:     binary.BigEndian.Uint32(body[0:4]),
 		LeaseMs: binary.BigEndian.Uint32(body[4:8]),
-	}
-	if len(body) >= 17 {
-		s.Hops = body[8]
-		s.PathID = binary.BigEndian.Uint64(body[9:17])
-	}
-	switch len(body) {
-	case 9, 18:
-		s.Profile = body[len(body)-1]
-	case 13, 22:
-		s.Profile = body[len(body)-5]
-		s.ShiftMs = binary.BigEndian.Uint32(body[len(body)-4:])
-	}
-	return s, nil
+		Hops:    body[8],
+		PathID:  binary.BigEndian.Uint64(body[9:17]),
+		Profile: body[17],
+		ShiftMs: binary.BigEndian.Uint32(body[18:22]),
+	}, nil
 }
 
-// Marshal encodes the suback packet. A SubRedirect carries the sibling
-// address after the fixed body; every other status keeps the exact
-// 10-byte body — unless a time shift was granted, in which case 4
-// bytes of ShiftMs follow. Only a subscriber that requested a shift
-// can be granted one, so the trailing section is never sent to a
-// legacy parser that would reject it. A redirect grants nothing, so
-// combining it with a shift is a marshalling error.
+// Marshal encodes the suback packet: the fixed SubAckBodyLen body, and
+// after it the sibling address exactly when the status is SubRedirect.
+// A redirect grants nothing, so combining it with a shift is a
+// marshalling error.
 func (s *SubAck) Marshal() ([]byte, error) {
 	if (s.Status == SubRedirect) != (s.Redirect != "") {
 		return nil, fmt.Errorf("%w: status %s with redirect %q", ErrBadPacket, s.Status, s.Redirect)
@@ -818,21 +729,16 @@ func (s *SubAck) Marshal() ([]byte, error) {
 	if s.Status == SubRedirect && s.ShiftMs != 0 {
 		return nil, fmt.Errorf("%w: redirect with shift grant", ErrBadPacket)
 	}
-	buf := make([]byte, headerLen+10, headerLen+10+1+len(s.Redirect))
+	buf := make([]byte, headerLen+SubAckBodyLen, headerLen+SubAckBodyLen+1+len(s.Redirect))
 	putHeader(buf, TypeSubAck, s.Channel)
-	binary.BigEndian.PutUint32(buf[headerLen:headerLen+4], s.Seq)
-	binary.BigEndian.PutUint32(buf[headerLen+4:headerLen+8], s.LeaseMs)
-	buf[headerLen+8] = byte(s.Status)
-	// Byte 9 was reserved-zero before delivery profiles; a pre-profile
-	// parser reads a profile grant as that reserved byte and ignores it.
-	buf[headerLen+9] = s.Profile
+	body := buf[headerLen:]
+	binary.BigEndian.PutUint32(body[0:4], s.Seq)
+	binary.BigEndian.PutUint32(body[4:8], s.LeaseMs)
+	body[8] = byte(s.Status)
+	body[9] = s.Profile
+	binary.BigEndian.PutUint32(body[10:14], s.ShiftMs)
 	if s.Status == SubRedirect {
 		return appendString(buf, s.Redirect)
-	}
-	if s.ShiftMs != 0 {
-		var sb [4]byte
-		binary.BigEndian.PutUint32(sb[:], s.ShiftMs)
-		buf = append(buf, sb[:]...)
 	}
 	return buf, nil
 }
@@ -847,7 +753,7 @@ func UnmarshalSubAck(data []byte) (*SubAck, error) {
 		return nil, fmt.Errorf("%w: expected suback, got %s", ErrBadPacket, t)
 	}
 	body := data[headerLen:]
-	if len(body) < 10 {
+	if len(body) < SubAckBodyLen {
 		return nil, ErrShort
 	}
 	a := &SubAck{
@@ -856,18 +762,19 @@ func UnmarshalSubAck(data []byte) (*SubAck, error) {
 		LeaseMs: binary.BigEndian.Uint32(body[4:8]),
 		Status:  SubStatus(body[8]),
 		Profile: body[9],
+		ShiftMs: binary.BigEndian.Uint32(body[10:14]),
 	}
-	body = body[10:]
+	body = body[SubAckBodyLen:]
 	if a.Status == SubRedirect {
+		if a.ShiftMs != 0 {
+			return nil, fmt.Errorf("%w: redirect with shift grant", ErrBadPacket)
+		}
 		if a.Redirect, body, err = readString(body); err != nil {
 			return nil, err
 		}
 		if a.Redirect == "" {
 			return nil, fmt.Errorf("%w: redirect with empty address", ErrBadPacket)
 		}
-	} else if len(body) == 4 {
-		a.ShiftMs = binary.BigEndian.Uint32(body[0:4])
-		body = body[4:]
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(body))

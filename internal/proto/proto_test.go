@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -138,80 +140,42 @@ func TestSubscribeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSubscribeZeroPathMarshalsLegacyBody(t *testing.T) {
-	// A subscriber with no path state (every plain speaker) must emit
-	// the legacy 8-byte body so a pre-chaining relay — whose parser
-	// rejects longer bodies as trailing garbage — still grants it.
-	s := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000}
-	data, err := s.Marshal()
+// TestSubscribeOneBodyOneVersion: a Subscribe has exactly one body —
+// whatever its fields, Marshal emits SubscribeBodyLen bytes, and every
+// length an earlier generation of the grammar allowed (and the two
+// either side of the real one) is malformed — and the header's version
+// byte is the only compatibility rule: a version-1 packet is refused
+// before its body is looked at.
+func TestSubscribeOneBodyOneVersion(t *testing.T) {
+	for _, s := range []*Subscribe{
+		{Channel: 1, Seq: 2, LeaseMs: 15000},
+		{Channel: 1, Seq: 2, LeaseMs: 15000, Hops: 2, PathID: 7, Profile: 3, ShiftMs: 10000},
+	} {
+		data, err := s.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(data) - headerLen; got != SubscribeBodyLen {
+			t.Fatalf("subscribe %+v body = %d bytes, want %d", s, got, SubscribeBodyLen)
+		}
+	}
+	full, err := (&Subscribe{Channel: 2, Seq: 5, LeaseMs: 9000, Hops: 7, PathID: 42, Profile: 1, ShiftMs: 3}).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(data) - 8; got != 8 { // minus common header
-		t.Fatalf("zero-path subscribe body = %d bytes, want legacy 8", got)
+	for _, n := range []int{8, 9, 13, 17, 18, 21, 23} {
+		body := append(append([]byte(nil), full...), 0)[:headerLen+n]
+		if _, err := UnmarshalSubscribe(body); err == nil {
+			t.Errorf("subscribe body of %d bytes accepted", n)
+		}
 	}
-	p := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000, Hops: 2, PathID: 7}
-	pdata, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	old := append([]byte(nil), full...)
+	old[2] = 1
+	if _, err := UnmarshalSubscribe(old); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-1 subscribe: err = %v, want ErrBadVersion", err)
 	}
-	if got := len(pdata) - 8; got != 17 {
-		t.Fatalf("pathed subscribe body = %d bytes, want 17", got)
-	}
-	// The profile byte rides as a pure suffix of either form: 9 bytes
-	// for a speaker requesting a profile, 18 for a pathed request.
-	q := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000, Profile: 1}
-	qdata, err := q.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(qdata) - 8; got != 9 {
-		t.Fatalf("profile subscribe body = %d bytes, want 9", got)
-	}
-	pq := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000, Hops: 2, PathID: 7, Profile: 3}
-	pqdata, err := pq.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(pqdata) - 8; got != 18 {
-		t.Fatalf("pathed profile subscribe body = %d bytes, want 18", got)
-	}
-	// A time shift appends 4 bytes after the profile byte, which it
-	// forces present (even at Source) so the shift's offset is
-	// unambiguous: 13 bytes shifted-speaker, 22 shifted-pathed.
-	sh := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000, ShiftMs: 10000}
-	shdata, err := sh.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(shdata) - 8; got != 13 {
-		t.Fatalf("shifted subscribe body = %d bytes, want 13", got)
-	}
-	psh := &Subscribe{Channel: 1, Seq: 2, LeaseMs: 15000, Hops: 2, PathID: 7, ShiftMs: 10000}
-	pshdata, err := psh.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(pshdata) - 8; got != 22 {
-		t.Fatalf("shifted pathed subscribe body = %d bytes, want 22", got)
-	}
-}
-
-func TestSubscribeLegacyBodyAccepted(t *testing.T) {
-	// A pre-chaining subscriber marshals only seq + leasems; the parser
-	// must accept the short body and read zero hops / path id.
-	s := &Subscribe{Channel: 2, Seq: 5, LeaseMs: 9000, Hops: 7, PathID: 42}
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSubscribe(data[:len(data)-9]) // strip hops+pathid
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Subscribe{Channel: 2, Seq: 5, LeaseMs: 9000}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("legacy parse = %+v, want %+v", got, want)
+	if _, _, err := PeekType(old); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-1 header: err = %v, want ErrBadVersion", err)
 	}
 }
 
@@ -270,39 +234,6 @@ func TestAnnounceLoadVectorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAnnounceWithoutLoadStaysLegacyBytes(t *testing.T) {
-	// A catalog whose records carry no load must emit exactly the
-	// pre-load wire format, and a legacy announce must parse with
-	// HasLoad false everywhere — mixed-version deployments depend on it.
-	a := &Announce{
-		Seq:    3,
-		Relays: []RelayInfo{{Addr: "10.0.0.5:5006", Group: "239.72.1.1:5004", Channel: 1}},
-	}
-	data, err := a.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := &Announce{
-		Seq: 3,
-		Relays: []RelayInfo{{Addr: "10.0.0.5:5006", Group: "239.72.1.1:5004", Channel: 1,
-			HasLoad: true, Subs: 9}},
-	}
-	ldata, err := loaded.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(data, ldata[:len(data)]) {
-		t.Fatal("load section not a pure suffix of the legacy encoding")
-	}
-	got, err := UnmarshalAnnounce(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Relays[0].HasLoad {
-		t.Fatal("legacy record parsed with a phantom load vector")
-	}
-}
-
 func TestAnnounceLoadSectionMalformed(t *testing.T) {
 	a := &Announce{
 		Seq: 5,
@@ -315,21 +246,24 @@ func TestAnnounceLoadSectionMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadOff := len(data) - 2*7 - 1 // two 1+6-byte load entries plus the count byte
+	flagsOff := len(data) - announceSigLen - 7 // the last record's flags byte + 6-byte vector
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
 	}{
-		{"count mismatch", func(b []byte) []byte { b[loadOff] = 3; return b }},
-		{"count zero", func(b []byte) []byte { b[loadOff] = 0; return b }},
-		{"unknown flags", func(b []byte) []byte { b[loadOff+1] = 0x82; return b }},
-		{"truncated vector", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"unknown flags", func(b []byte) []byte { b[flagsOff] = 0x83; return b }},
+		// Clearing bit 0 leaves the vector's 6 bytes where the signature
+		// section must start.
+		{"vector behind a clear flag", func(b []byte) []byte { b[flagsOff] = 0; return b }},
+		{"truncated vector", func(b []byte) []byte { return append(b[:flagsOff+4], b[flagsOff+7:]...) }},
+		{"relay count overstated", func(b []byte) []byte { b[headerLen+9]++; return b }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
+		{"announce on a channel", func(b []byte) []byte { b[7] = 1; return b }},
 	}
 	for _, tc := range cases {
 		mut := tc.mutate(append([]byte(nil), data...))
 		if _, err := UnmarshalAnnounce(mut); err == nil {
-			t.Errorf("%s: malformed load section accepted", tc.name)
+			t.Errorf("%s: malformed announce accepted", tc.name)
 		}
 	}
 }
@@ -364,18 +298,25 @@ func TestSubAckRedirectMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := append([]byte(nil), good[:8+10]...)
+	zero := append([]byte(nil), good[:headerLen+SubAckBodyLen]...)
 	zero = append(zero, 0) // length-prefixed empty string: a zero-address redirect
 	if _, err := UnmarshalSubAck(zero); err == nil {
 		t.Fatal("zero-address redirect accepted")
 	}
 	asOK := append([]byte(nil), good...)
-	asOK[8+8] = byte(SubOK) // flip the status, keep the address bytes
+	asOK[headerLen+8] = byte(SubOK) // flip the status, keep the address bytes
 	if _, err := UnmarshalSubAck(asOK); err == nil {
 		t.Fatal("redirect body accepted behind a non-redirect status")
 	}
 	if _, err := UnmarshalSubAck(good[:len(good)-4]); err == nil {
 		t.Fatal("truncated redirect address accepted")
+	}
+	// A redirect grants nothing: a shift on one is refused off the wire
+	// exactly as Marshal refuses to put it there.
+	shifted := append([]byte(nil), good...)
+	shifted[headerLen+SubAckBodyLen-1] = 1
+	if _, err := UnmarshalSubAck(shifted); err == nil {
+		t.Fatal("redirect with a shift grant accepted")
 	}
 }
 
@@ -414,24 +355,10 @@ func TestSubAckRoundTrip(t *testing.T) {
 }
 
 func TestSubscribeTrailingBytesRejected(t *testing.T) {
-	// One byte after the legacy 8-byte body is the profile extension, so
-	// it parses — as a profile request, not as garbage.
-	s := &Subscribe{Channel: 1, Seq: 1, LeaseMs: 1000}
+	s := &Subscribe{Channel: 1, Seq: 1, LeaseMs: 1000, Hops: 1, PathID: 9, Profile: 1}
 	data, _ := s.Marshal()
-	got, err := UnmarshalSubscribe(append(data, 2))
-	if err != nil || got.Profile != 2 {
-		t.Fatalf("profile-extended subscribe parse = %+v, %v", got, err)
-	}
-	// Two bytes fit no body length and must be rejected.
-	if _, err := UnmarshalSubscribe(append(data, 0, 0)); err == nil {
+	if _, err := UnmarshalSubscribe(append(data, 0)); err == nil {
 		t.Fatal("subscribe with trailing bytes accepted")
-	}
-	// Same on the pathed-plus-profile (18-byte) body: anything past the
-	// profile byte is garbage.
-	p := &Subscribe{Channel: 1, Seq: 1, LeaseMs: 1000, Hops: 1, PathID: 9, Profile: 1}
-	pdata, _ := p.Marshal()
-	if _, err := UnmarshalSubscribe(append(pdata, 0)); err == nil {
-		t.Fatal("subscribe with bytes after the profile accepted")
 	}
 	a := &SubAck{Channel: 1, Seq: 1, LeaseMs: 1000}
 	adata, _ := a.Marshal()
@@ -446,8 +373,13 @@ func TestSubAckShiftRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(data) - 8; got != 14 {
-		t.Fatalf("shifted suback body = %d bytes, want 10+4", got)
+	plain, err := (&SubAck{Channel: 7, Seq: 99, LeaseMs: 15000}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data)-headerLen != SubAckBodyLen || len(plain) != len(data) {
+		t.Fatalf("suback bodies = %d shifted / %d live bytes, want %d for both",
+			len(data)-headerLen, len(plain)-headerLen, SubAckBodyLen)
 	}
 	got, err := UnmarshalSubAck(data)
 	if err != nil {
@@ -512,9 +444,10 @@ func TestPeekRejectsBadHeader(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{0x45},
-		{0x00, 0x00, 1, 1, 0, 0, 0, 0},  // bad magic
-		{0x45, 0x53, 9, 1, 0, 0, 0, 0},  // bad version
-		{0x45, 0x53, 1, 99, 0, 0, 0, 0}, // bad type
+		{0x00, 0x00, Version, 1, 0, 0, 0, 0},  // bad magic
+		{0x45, 0x53, 9, 1, 0, 0, 0, 0},        // bad version
+		{0x45, 0x53, 1, 1, 0, 0, 0, 0},        // the previous version
+		{0x45, 0x53, Version, 99, 0, 0, 0, 0}, // bad type
 	}
 	for _, data := range cases {
 		if _, _, err := PeekType(data); err == nil {
@@ -579,7 +512,7 @@ var parsers = []struct {
 }
 
 // validPackets marshals one well-formed packet of every kind.
-func validPackets(t *testing.T) map[string][]byte {
+func validPackets(t testing.TB) map[string][]byte {
 	t.Helper()
 	c := &Control{Channel: 1, Params: audio.CDQuality, Codec: "ovl", Quality: 10}
 	cdata, err := c.Marshal()
@@ -596,39 +529,13 @@ func validPackets(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Carry path fields and a profile so the truncation table covers the
-	// longest (18-byte) body; the shorter forms are its prefixes.
-	s := &Subscribe{Channel: 1, Seq: 7, LeaseMs: 30000, Hops: 1, PathID: 99, Profile: 2}
+	s := &Subscribe{Channel: 1, Seq: 7, LeaseMs: 30000, Hops: 1, PathID: 99, Profile: 2, ShiftMs: 9000}
 	sdata, err := s.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// And the profile-only (9-byte) body a plain speaker requesting a
-	// quality rung emits.
-	sp := &Subscribe{Channel: 1, Seq: 7, LeaseMs: 30000, Profile: 1}
-	spdata, err := sp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The time-shifted forms: 13-byte (profile + shift) and the full
-	// 22-byte (path + profile + shift) body.
-	ss := &Subscribe{Channel: 1, Seq: 7, LeaseMs: 30000, Profile: 1, ShiftMs: 9000}
-	ssdata, err := ss.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sps := &Subscribe{Channel: 1, Seq: 7, LeaseMs: 30000, Hops: 1, PathID: 99, Profile: 2, ShiftMs: 9000}
-	spsdata, err := sps.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := &SubAck{Channel: 1, Seq: 7, LeaseMs: 15000, Status: SubOK}
+	k := &SubAck{Channel: 1, Seq: 7, LeaseMs: 15000, Status: SubOK, ShiftMs: 8000}
 	kdata, err := k.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks := &SubAck{Channel: 1, Seq: 7, LeaseMs: 15000, Status: SubOK, ShiftMs: 8000}
-	ksdata, err := ks.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +544,7 @@ func validPackets(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	al := loadAnnounce(3)
+	al := loadAnnounce()
 	aldata, err := al.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -647,10 +554,10 @@ func validPackets(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The signed announce: the load-bearing packet with the trailing
+	// The signed announce: the load-bearing packet with a filled-in
 	// signature section, so the truncation table walks through the
-	// marker, scheme, generation, length, and signature bytes.
-	asn := loadAnnounce(3)
+	// scheme, generation, length, and signature bytes.
+	asn := loadAnnounce()
 	asn.SigScheme = AuthHORS
 	asn.SigGen = 2
 	asn.Sig = bytes.Repeat([]byte{0xAB}, 40)
@@ -660,58 +567,24 @@ func validPackets(t *testing.T) map[string][]byte {
 	}
 	return map[string][]byte{
 		"control": cdata, "data": ddata, "announce": adata,
-		"subscribe": sdata, "subscribe-profile": spdata,
-		"subscribe-shift": ssdata, "subscribe-path-shift": spsdata,
-		"suback": kdata, "suback-shift": ksdata, "pause": pzdata,
+		"subscribe": sdata, "suback": kdata, "pause": pzdata,
 		"announce-load": aldata, "suback-redirect": rkdata,
 		"announce-signed": asndata,
 	}
 }
 
-// loadAnnounce builds the load-bearing announce the truncation table
-// exercises, cut down to its first n sections: 1 = channels only,
-// 2 = + relay records, 3 = + load vectors. The shorter forms mark the
-// two prefixes of the full packet that are legitimately parseable —
-// each is exactly what an older announcer would have sent.
-func loadAnnounce(sections int) *Announce {
-	a := &Announce{
+// loadAnnounce builds the announce the truncation table exercises:
+// one channel, a relay record with a load vector and one without.
+func loadAnnounce() *Announce {
+	return &Announce{
 		Seq:      8,
 		Channels: []ChannelInfo{{ID: 1, Name: "x", Group: "g", Codec: "raw", Params: audio.Voice}},
-	}
-	if sections >= 2 {
-		a.Relays = []RelayInfo{
-			{Addr: "10.0.0.5:5006", Group: "239.72.1.1:5004", Channel: 1},
+		Relays: []RelayInfo{
+			{Addr: "10.0.0.5:5006", Group: "239.72.1.1:5004", Channel: 1,
+				HasLoad: true, Subs: 12, Pressure: 40, Hops: 1},
 			{Addr: "10.0.0.6:5006", Group: "10.0.0.5:5006"},
-		}
+		},
 	}
-	if sections >= 3 {
-		a.Relays[0].HasLoad = true
-		a.Relays[0].Subs = 12
-		a.Relays[0].Pressure = 40
-		a.Relays[0].Hops = 1
-		a.Relays[1].HasLoad = true
-		a.Relays[1].Subs = 2
-		a.Relays[1].Hops = 2
-	}
-	return a
-}
-
-// legacyAnnouncePrefixes returns the lengths at which truncating the
-// load-bearing announce yields a valid older-format packet: the end of
-// the channel section (a pre-relay announce), the end of the relay
-// records (a pre-load announce), and — for the signed form — the end of
-// the load vectors (the full unsigned announce).
-func legacyAnnouncePrefixes(t *testing.T) map[int]bool {
-	t.Helper()
-	out := make(map[int]bool)
-	for _, sections := range []int{1, 2, 3} {
-		data, err := loadAnnounce(sections).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[len(data)] = true
-	}
-	return out
 }
 
 // TestTruncationsNeverPanic is the fuzz-style truncation table: every
@@ -719,15 +592,12 @@ func legacyAnnouncePrefixes(t *testing.T) map[int]bool {
 // cleanly — an error for any strict prefix, success only for the
 // matching parser on the full packet.
 func TestTruncationsNeverPanic(t *testing.T) {
-	// Some kinds are wire extensions of a base packet; they parse with
+	// Some kinds are another instance of a base packet; they parse with
 	// the base kind's parser.
 	parserFor := map[string]string{
 		"announce-load": "announce", "suback-redirect": "suback",
-		"subscribe-profile": "subscribe", "subscribe-shift": "subscribe",
-		"subscribe-path-shift": "subscribe", "suback-shift": "suback",
 		"announce-signed": "announce",
 	}
-	announceLegacy := legacyAnnouncePrefixes(t)
 	for kind, full := range validPackets(t) {
 		want := kind
 		if p, ok := parserFor[kind]; ok {
@@ -744,33 +614,9 @@ func TestTruncationsNeverPanic(t *testing.T) {
 					}()
 					return p.parse(trunc)
 				}()
-				// A few prefixes are legitimately parseable — each is
-				// byte-identical to what an older or shorter-form peer
-				// would send: a subscribe cut after seq+leasems is the
-				// legacy 8-byte body, cut one byte later it is the 9-byte
-				// profile form, cut after the path fields it is the
-				// 17-byte pathed form, and the shift-carrying bodies cut
-				// at any of the six accepted lengths (16/17/21/25/26
-				// total) parse as the corresponding shorter form — the
-				// 21-byte cut of a pathed shift reads the path prefix as
-				// a profile+shift, syntactically valid, semantically the
-				// sender's problem; a suback cut after its fixed 10-byte
-				// body is the shift-free grant; the load-bearing announce
-				// cut at the end of its channel or relay-record section
-				// is a pre-relay or pre-load announce, and the signed
-				// announce additionally cut before its signature section
-				// is the full unsigned packet.
-				legacy := kind == "subscribe" && p.name == "subscribe" &&
-					(i == 16 || i == 17 || i == 21 || i == 25) ||
-					kind == "subscribe-profile" && p.name == "subscribe" && i == 16 ||
-					kind == "subscribe-shift" && p.name == "subscribe" &&
-						(i == 16 || i == 17) ||
-					kind == "subscribe-path-shift" && p.name == "subscribe" &&
-						(i == 16 || i == 17 || i == 21 || i == 25 || i == 26) ||
-					kind == "suback-shift" && p.name == "suback" && i == 18 ||
-					kind == "announce-load" && p.name == "announce" && announceLegacy[i] ||
-					kind == "announce-signed" && p.name == "announce" && announceLegacy[i]
-				if i < len(full) && err == nil && p.name != "peek" && !legacy {
+				// One body per type: no strict prefix of any packet is
+				// itself a packet.
+				if i < len(full) && err == nil && p.name != "peek" {
 					t.Errorf("%s parser accepted truncated %s[:%d]", p.name, kind, i)
 				}
 				if i == len(full) && p.name == want && err != nil {
@@ -792,7 +638,7 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 		}
 	}
 	// And random bytes behind a valid header.
-	hdr := []byte{0x45, 0x53, 1, 1, 0, 0, 0, 1}
+	hdr := []byte{0x45, 0x53, Version, 1, 0, 0, 0, 1}
 	for i := 0; i < 5000; i++ {
 		n := rng.Intn(120)
 		data := append(append([]byte(nil), hdr...), make([]byte, n)...)
@@ -863,11 +709,11 @@ func TestStringLimits(t *testing.T) {
 // the signature covers, and the framing helper refuses the encodings
 // the parser could not distinguish.
 func TestAnnounceSigRoundTrip(t *testing.T) {
-	a := loadAnnounce(3)
+	a := loadAnnounce()
 	a.SigScheme = AuthHORS
 	a.SigGen = 7
 	a.Sig = bytes.Repeat([]byte{0xCD}, 33)
-	plain, err := loadAnnounce(3).Marshal()
+	plain, err := loadAnnounce().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,19 +732,41 @@ func TestAnnounceSigRoundTrip(t *testing.T) {
 	if err != nil || !signed || scheme != AuthHORS || gen != 7 {
 		t.Fatalf("split = (signed=%v scheme=%v gen=%d err=%v)", signed, scheme, gen, err)
 	}
-	if !bytes.Equal(prefix, plain) || !bytes.Equal(sig, a.Sig) {
-		t.Fatal("split did not recover the unsigned prefix and signature")
+	if !bytes.Equal(prefix, plain[:len(plain)-announceSigLen]) || !bytes.Equal(sig, a.Sig) {
+		t.Fatal("split did not recover the signed prefix and signature")
 	}
-	// The unsigned packet splits as legacy.
-	if _, _, _, _, signed, err := SplitAnnounceSig(plain); err != nil || signed {
-		t.Fatalf("unsigned announce: signed=%v err=%v", signed, err)
+	// The unsigned packet splits at the same place: its section is the
+	// all-zero one, and signing is filling that section in.
+	uprefix, _, _, _, signed, err := SplitAnnounceSig(plain)
+	if err != nil || signed || !bytes.Equal(uprefix, prefix) {
+		t.Fatalf("unsigned announce: signed=%v err=%v, same prefix=%v", signed, err, bytes.Equal(uprefix, prefix))
 	}
-	// Unframeable signatures are refused at marshal time.
-	if _, err := AppendAnnounceSig(plain, AuthNone, 1, []byte{1}); err == nil {
-		t.Fatal("signature without a scheme accepted")
+	if resigned, err := AppendAnnounceSig(uprefix, AuthHORS, 7, a.Sig); err != nil || !bytes.Equal(resigned, data) {
+		t.Fatalf("signing the unsigned prefix did not reproduce the signed packet (err=%v)", err)
 	}
-	if _, err := AppendAnnounceSig(plain, AuthHORS, 1, nil); err == nil {
-		t.Fatal("empty signature accepted")
+	// Unframeable signature sections are refused at marshal time and off
+	// the wire alike.
+	for _, bad := range []struct {
+		name   string
+		scheme AuthScheme
+		gen    uint32
+		sig    []byte
+	}{
+		{"signature without a scheme", AuthNone, 0, []byte{1}},
+		{"generation without a scheme", AuthNone, 1, nil},
+		{"scheme without a signature", AuthHORS, 1, nil},
+	} {
+		if _, err := AppendAnnounceSig(prefix, bad.scheme, bad.gen, bad.sig); err == nil {
+			t.Errorf("%s marshalled", bad.name)
+		}
+		var sec [announceSigLen]byte
+		sec[0] = byte(bad.scheme)
+		binary.BigEndian.PutUint32(sec[1:5], bad.gen)
+		binary.BigEndian.PutUint16(sec[5:7], uint16(len(bad.sig)))
+		pkt := append(append(append([]byte(nil), prefix...), sec[:]...), bad.sig...)
+		if _, err := UnmarshalAnnounce(pkt); err == nil {
+			t.Errorf("%s parsed", bad.name)
+		}
 	}
 }
 

@@ -49,7 +49,8 @@ func parseCodeTable(t *testing.T, doc, heading string) map[string]uint8 {
 // TestProtocolDocMatchesConstants keeps docs/PROTOCOL.md honest: the
 // documented type, auth-scheme, and subscription-status codes must
 // match the constants this package actually puts on the wire, in both
-// directions (nothing undocumented, nothing stale).
+// directions (nothing undocumented, nothing stale), and so must the
+// protocol version and the Subscribe/SubAck body sizes.
 func TestProtocolDocMatchesConstants(t *testing.T) {
 	raw, err := os.ReadFile(docPath)
 	if err != nil {
@@ -116,4 +117,57 @@ func TestProtocolDocMatchesConstants(t *testing.T) {
 	if !strings.Contains(doc, fmt.Sprintf("currently `%d`", Version)) {
 		t.Errorf("PROTOCOL.md does not state protocol version %d", Version)
 	}
+
+	// Each fixed body is documented twice — the size in the prose, the
+	// layout in the offset table — and both must be the parser's.
+	for _, body := range []struct {
+		heading string
+		want    int
+	}{
+		{"## Subscribe (type 4)", SubscribeBodyLen},
+		{"## SubAck (type 5)", SubAckBodyLen},
+	} {
+		stated, table := parseBodyLayout(t, doc, body.heading)
+		if stated != body.want || table != body.want {
+			t.Errorf("%s: prose says %d bytes, table rows end at %d, the parser takes %d",
+				body.heading, stated, table, body.want)
+		}
+	}
+}
+
+// parseBodyLayout reads one packet section's fixed body: the size its
+// prose states ("exactly N bytes") and the end of the contiguous
+// offset/size rows of its first table (a variable-size row such as
+// "1+n" ends the fixed part).
+func parseBodyLayout(t *testing.T, doc, heading string) (stated, table int) {
+	t.Helper()
+	_, after, found := strings.Cut(doc, heading)
+	if !found {
+		t.Fatalf("PROTOCOL.md: heading %q missing", heading)
+	}
+	if next := strings.Index(after, "\n## "); next >= 0 {
+		after = after[:next]
+	}
+	m := regexp.MustCompile(`exactly (\d+) bytes`).FindStringSubmatch(after)
+	if m == nil {
+		t.Fatalf("PROTOCOL.md %q: no \"exactly N bytes\" statement", heading)
+	}
+	stated, _ = strconv.Atoi(m[1])
+	row := regexp.MustCompile(`^\|\s*(\d+)\s*\|\s*(\d+)\s*\|`)
+	for _, line := range strings.Split(after, "\n") {
+		r := row.FindStringSubmatch(strings.TrimSpace(line))
+		if r == nil {
+			if table > 0 && !strings.HasPrefix(strings.TrimSpace(line), "|") {
+				break // table ended
+			}
+			continue
+		}
+		off, _ := strconv.Atoi(r[1])
+		size, _ := strconv.Atoi(r[2])
+		if off != table {
+			t.Fatalf("PROTOCOL.md %q: row at offset %d follows a field ending at %d", heading, off, table)
+		}
+		table = off + size
+	}
+	return stated, table
 }

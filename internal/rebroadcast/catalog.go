@@ -39,8 +39,8 @@ type Catalog struct {
 // one steering input no control-plane authenticator covers. A cycle
 // whose signing fails is skipped rather than sent unsigned: a verifying
 // segment would reject it anyway, and a silently unsigned announce
-// downgrades every legacy receiver too. Nil (the default) announces
-// unsigned.
+// downgrades every non-verifying receiver too. Nil (the default)
+// announces unsigned.
 func (c *Catalog) SetSigner(sign func([]byte) ([]byte, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -43,20 +43,6 @@ const MaxRedirects = 4
 // current subscription attempt already followed MaxRedirects of them.
 var ErrRedirectLimit = errors.New("lease: redirect chain exceeded limit")
 
-// ShiftFallbackAfter is how many consecutive shifted subscribes may go
-// unanswered before the subscriber presumes the relay predates the
-// time-shift extension and degrades to a live join. A pre-DVR relay
-// rejects the extended (13/22-byte) Subscribe body as malformed and
-// answers nothing at all, so without the fallback a shifted join
-// against an old relay would retry silently forever; with it, the
-// shift is dropped from subsequent subscribes (the legacy body every
-// relay parses) and GrantedShift reports the zero truth. The fallback
-// latches until the subscription is re-targeted — an answered live
-// refresh proves nothing about shift support, and re-arming would flap
-// the lease. Heavy loss can trip it spuriously; that costs the shift,
-// never the lease.
-const ShiftFallbackAfter = 3
-
 // Stats is the subscription-side accounting.
 type Stats struct {
 	Subscribes  int64 // subscribe/refresh/cancel packets sent
@@ -66,10 +52,6 @@ type Stats struct {
 	Stale       int64 // acks ignored: detached, or a seq this target was never asked
 	AuthDropped int64 // acks dropped by control-plane verification
 	Redirects   int64 // SubRedirect acks followed to a sibling relay
-	// ShiftFallbacks counts shifted subscription attempts abandoned in
-	// favor of a live join after ShiftFallbackAfter unanswered tries
-	// (the target relay likely predates the time-shift extension).
-	ShiftFallbacks int64
 }
 
 // Subscriber maintains at most one live lease with a relay. The owner
@@ -100,14 +82,7 @@ type Subscriber struct {
 	// what its ring still held.
 	shift    time.Duration
 	curShift time.Duration
-	// shiftMisses counts consecutive shifted subscribes the target has
-	// left unanswered; at ShiftFallbackAfter, shiftFallback latches and
-	// later subscribes drop the shift (legacy body — see the constant).
-	// Any accepted ack clears the miss count; re-targeting (or a new
-	// SetShift/Subscribe) clears the latch too.
-	shiftMisses   int
-	shiftFallback bool
-	seq           uint32
+	seq      uint32
 	// ackFloor is the seq of the first subscribe sent to the current
 	// target: only acks echoing a seq in [ackFloor, seq] answer a
 	// request this target was actually asked. Anything below is a late
@@ -167,8 +142,7 @@ func (s *Subscriber) SetAuth(a security.Authenticator) {
 
 // SetProfile sets the delivery tier requested by every subsequent
 // subscribe packet (codec.ProfileSource — the zero value — asks for
-// the untouched upstream payload, indistinguishable on the wire from
-// a pre-profile subscriber).
+// the untouched upstream payload).
 func (s *Subscriber) SetProfile(p codec.Profile) {
 	s.mu.Lock()
 	s.profile = p
@@ -187,22 +161,18 @@ func (s *Subscriber) CurrentProfile() codec.Profile {
 
 // SetShift sets the time shift requested by every subsequent subscribe
 // packet: "start my stream from this long ago", served out of the
-// relay's DVR generation ring. Zero — the default — is live, and on
-// the wire indistinguishable from a pre-DVR subscriber. The relay
+// relay's DVR generation ring. Zero — the default — is live. The relay
 // clamps the request to the history it actually holds; read the truth
 // with GrantedShift. Set it before the first Subscribe: the relay
-// honors a shift when the lease is created, not on a refresh. A relay
-// predating the extension rejects the shifted body without answering;
-// after ShiftFallbackAfter unanswered attempts the subscriber drops
-// the shift and joins live (counted in Stats.ShiftFallbacks) rather
-// than retrying forever.
+// honors a shift when the lease is created, not on a refresh, and
+// every subscribe until one is answered — however many are lost —
+// carries it.
 func (s *Subscriber) SetShift(d time.Duration) {
 	s.mu.Lock()
 	if d < 0 {
 		d = 0
 	}
 	s.shift = d
-	s.shiftMisses, s.shiftFallback = 0, false
 	s.mu.Unlock()
 }
 
@@ -272,8 +242,7 @@ func (s *Subscriber) Subscribe(target lan.Addr, channel uint32, lease time.Durat
 	s.channel = channel
 	s.want = lease
 	s.granted = 0
-	s.redirects = 0                           // a fresh target gets a fresh redirect budget
-	s.shiftMisses, s.shiftFallback = 0, false // the new target may speak the shift extension
+	s.redirects = 0 // a fresh target gets a fresh redirect budget
 	// The next send uses seq+1; acks for anything earlier belong to a
 	// previous target and must not install a grant here.
 	s.ackFloor = s.seq + 1
@@ -408,11 +377,6 @@ func (s *Subscriber) apply(ack *proto.SubAck) (st proto.SubStatus, follow lan.Ad
 		return ack.Status, "", 0, 0, nil
 	}
 	s.stats.Acks++
-	// The target answered *something*, so its parser accepts what we
-	// send: the shifted-body fallback counter starts over. The latch
-	// itself stays — once subscribes went out shift-free, an answer to
-	// one proves nothing about shift support.
-	s.shiftMisses = 0
 	if s.rtt != nil && ack.Seq == s.sentSeq {
 		// Control RTT: only the newest outstanding request is timed — an
 		// earlier in-window ack is a retransmit answer whose send time we
@@ -438,9 +402,6 @@ func (s *Subscriber) apply(ack *proto.SubAck) (st proto.SubStatus, follow lan.Ad
 		s.granted = 0
 		s.current = 0  // the sibling's ladder starts fresh
 		s.curShift = 0 // and so does its DVR ring
-		// The sibling may speak the shift extension even if the shedder
-		// did not (or vice versa): probe it from scratch.
-		s.shiftMisses, s.shiftFallback = 0, false
 		// Acks from the shedding relay (or any earlier target) must not
 		// install a grant against the new one.
 		s.ackFloor = s.seq + 1
@@ -493,24 +454,6 @@ func (s *Subscriber) send(target lan.Addr, channel uint32, lease time.Duration) 
 		// bucket, which is exactly where an operator should see it.
 		s.margin.Observe(time.Until(s.expiresWall))
 	}
-	shiftMs := uint32(s.shift / time.Millisecond)
-	if shiftMs != 0 {
-		// Legacy-relay fallback: a shifted subscribe uses the extended
-		// body, which a pre-DVR relay rejects as malformed without
-		// answering. After ShiftFallbackAfter unanswered tries, stop
-		// asking and join live — a silent lease failure forever is worse
-		// than a shift-free lease. See ShiftFallbackAfter.
-		switch {
-		case s.shiftFallback:
-			shiftMs = 0
-		case s.shiftMisses >= ShiftFallbackAfter:
-			s.shiftFallback = true
-			s.stats.ShiftFallbacks++
-			shiftMs = 0
-		default:
-			s.shiftMisses++
-		}
-	}
 	req := proto.Subscribe{
 		Channel: channel,
 		Seq:     s.seq,
@@ -518,7 +461,7 @@ func (s *Subscriber) send(target lan.Addr, channel uint32, lease time.Duration) 
 		Hops:    hops,
 		PathID:  pathID,
 		Profile: uint8(s.profile),
-		ShiftMs: shiftMs,
+		ShiftMs: uint32(s.shift / time.Millisecond),
 	}
 	auth := s.auth
 	s.stats.Subscribes++

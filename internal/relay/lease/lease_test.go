@@ -274,28 +274,19 @@ func TestAckWhileDetachedIgnored(t *testing.T) {
 	sim.WaitIdle()
 }
 
-// TestShiftFallbackToLiveAgainstPreDVRRelay: a relay predating the
-// time-shift extension rejects the 13-byte shifted Subscribe body as
-// malformed and answers nothing at all, so a shifted join against it
-// used to retry silently forever. After ShiftFallbackAfter unanswered
-// shifted attempts the subscriber must drop the shift, join live, and
-// report the zero truth through GrantedShift.
-func TestShiftFallbackToLiveAgainstPreDVRRelay(t *testing.T) {
-	sim := vclock.NewSim(time.Time{})
-	seg := lan.NewSegment(sim, lan.SegmentConfig{})
-	cc, err := seg.Attach("10.0.0.2:5004")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayConn, err := seg.Attach("10.0.0.1:5006")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := New(sim, cc, "shift-fallback-test")
-	var shifted, live int
+// TestShiftSurvivesLostSubscribes: loss is not a verdict on the relay.
+// With the first four subscribes of a shifted join lost on the segment,
+// the fifth must still ask for the shift — the relay honors a shift
+// only when the lease is created — and the grant must report it.
+func TestShiftSurvivesLostSubscribes(t *testing.T) {
+	sim, sub, relay := harness(t)
+	const lost = 4
+	const shift = 10 * time.Second
+	var seen int
+	var answered *proto.Subscribe
 	sim.Go("relay", func() {
 		for {
-			pkt, err := relayConn.Recv(0)
+			pkt, err := relay.Recv(0)
 			if err != nil {
 				return
 			}
@@ -303,20 +294,19 @@ func TestShiftFallbackToLiveAgainstPreDVRRelay(t *testing.T) {
 			if err != nil || req.LeaseMs == 0 {
 				continue
 			}
-			if req.ShiftMs != 0 {
-				// The pre-DVR behavior: the extended body reads as
-				// malformed, nothing is answered.
-				shifted++
-				continue
+			if seen++; seen <= lost {
+				continue // dropped on the wire: never answered
 			}
-			live++
-			ack, _ := (&proto.SubAck{Seq: req.Seq, Status: proto.SubOK, LeaseMs: 1000}).Marshal()
-			relayConn.Send(pkt.From, ack)
+			if answered == nil {
+				answered = req
+			}
+			ack, _ := (&proto.SubAck{Seq: req.Seq, Status: proto.SubOK, LeaseMs: 1000, ShiftMs: req.ShiftMs}).Marshal()
+			relay.Send(pkt.From, ack)
 		}
 	})
 	sim.Go("rx", func() {
 		for {
-			pkt, err := cc.Recv(0)
+			pkt, err := sub.conn.Recv(0)
 			if err != nil {
 				return
 			}
@@ -324,28 +314,22 @@ func TestShiftFallbackToLiveAgainstPreDVRRelay(t *testing.T) {
 		}
 	})
 	sim.Go("sub", func() {
-		sub.SetShift(10 * time.Second)
+		sub.SetShift(shift)
 		sub.Subscribe("10.0.0.1:5006", 1, 3*time.Second)
 		sim.Sleep(10 * time.Second)
-		if g := sub.Granted(); g != time.Second {
-			t.Errorf("granted = %v, want the 1s live lease after the fallback", g)
-		}
-		if s := sub.GrantedShift(); s != 0 {
-			t.Errorf("granted shift = %v, want 0 (live fallback)", s)
+		if g := sub.GrantedShift(); g != shift {
+			t.Errorf("granted shift = %v, want %v: four lost subscribes cost the shift", g, shift)
 		}
 		sub.Close()
-		relayConn.Close()
-		cc.Close()
+		relay.Close()
+		sub.conn.Close()
 	})
 	sim.WaitIdle()
-	if shifted != ShiftFallbackAfter {
-		t.Errorf("relay saw %d shifted subscribes, want exactly ShiftFallbackAfter = %d", shifted, ShiftFallbackAfter)
+	if answered == nil {
+		t.Fatalf("relay saw only %d subscribes, never a fifth", seen)
 	}
-	if live == 0 {
-		t.Error("relay never saw a live (shift-free) subscribe after the fallback")
-	}
-	if st := sub.Stats(); st.ShiftFallbacks != 1 {
-		t.Errorf("ShiftFallbacks = %d, want 1", st.ShiftFallbacks)
+	if want := uint32(shift / time.Millisecond); answered.ShiftMs != want {
+		t.Errorf("subscribe %d asked for shift %d ms, want %d", lost+1, answered.ShiftMs, want)
 	}
 }
 

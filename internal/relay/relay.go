@@ -163,8 +163,6 @@ type Config struct {
 	// 1 records everything — the setting experiments use to assert on
 	// individual drop events.
 	TraceSample int
-	// TraceRing overrides obs.DefaultTraceRing, the event ring length.
-	TraceRing int
 	// ShedSubscribers, when positive, is the subscriber count at which
 	// the relay starts shedding: a *new* Subscribe arriving while the
 	// table already holds this many is answered with SubRedirect naming
@@ -590,7 +588,7 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 		"upstream lease time remaining at each refresh (chained relays only)", nil)
 	r.catchupLag = obs.NewHistogram("es_relay_dvr_catchup_lag_seconds",
 		"age of each DVR backlog packet when served to a catching-up subscriber", nil)
-	r.tracer = obs.NewTracer(cfg.TraceSample, cfg.TraceRing)
+	r.tracer = obs.NewTracer(cfg.TraceSample, 0)
 	r.seq.chans = make(map[uint32]uint64)
 	r.seq.win = make([]atomic.Pointer[entry], cfg.QueueLen+1)
 	if cfg.DVR {

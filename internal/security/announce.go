@@ -76,23 +76,27 @@ type AnnounceSigner struct {
 }
 
 // NewAnnounceSigner builds a signer over the master key. Generations
-// start at 1; generation 0 means "unsigned" nowhere on the wire but is
-// skipped for symmetry with the reserved identity 0.
+// start at 1: an unsigned announce carries generation 0.
 func NewAnnounceSigner(master []byte) *AnnounceSigner {
 	return &AnnounceSigner{master: append([]byte(nil), master...)}
 }
 
-// Sign appends the signature section to an announce marshaled without
-// one.
+// Sign replaces the signature section of a marshaled announce — the
+// empty one Announce.Marshal emits for an unsigned announce — with one
+// made under the current generation's key.
 func (s *AnnounceSigner) Sign(pkt []byte) ([]byte, error) {
+	prefix, _, _, _, _, err := proto.SplitAnnounceSig(pkt)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.key == nil || s.key.Exhausted() {
 		s.gen++
 		s.key = announceKey(s.master, s.gen)
 	}
-	sig := s.key.sign(announceMsg(s.gen, pkt))
-	return proto.AppendAnnounceSig(pkt, proto.AuthHORS, s.gen, sig)
+	sig := s.key.sign(announceMsg(s.gen, prefix))
+	return proto.AppendAnnounceSig(prefix, proto.AuthHORS, s.gen, sig)
 }
 
 // AnnounceSigner returns a catalog signer over the keyring's master
@@ -161,10 +165,10 @@ func (v *AnnounceVerifier) pub(gen uint32) *HORSPublicKey {
 }
 
 // VerifyAnnounce checks a marshaled announce. ok reports a valid
-// signature; legacy reports the announce carried no signature section
-// at all (whether to accept an unsigned announce is the caller's
-// policy — a verifying watcher refuses, an unconfigured one has no
-// verifier to ask). A malformed packet is neither ok nor legacy.
+// signature; legacy reports the announce was unsigned (scheme None:
+// whether to accept an unsigned announce is the caller's policy — a
+// verifying watcher refuses, an unconfigured one has no verifier to
+// ask). A malformed packet is neither ok nor legacy.
 func (v *AnnounceVerifier) VerifyAnnounce(pkt []byte) (ok, legacy bool) {
 	prefix, scheme, gen, sig, signed, err := proto.SplitAnnounceSig(pkt)
 	if err != nil {

@@ -279,9 +279,9 @@ func TestAnnouncePubVerifier(t *testing.T) {
 }
 
 // TestAnnounceSigMalformed: every strict prefix of a signed announce
-// must fail verification cleanly (the boundary case — the packet cut
-// exactly before its signature section — parses as a legacy unsigned
-// announce, never as a verified one).
+// must fail verification cleanly, and the signed announce with its
+// signature section blanked is the unsigned announce — reported as
+// such, never as a verified one.
 func TestAnnounceSigMalformed(t *testing.T) {
 	master := []byte("master")
 	signer := NewAnnounceSigner(master)
@@ -293,14 +293,19 @@ func TestAnnounceSigMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(signed); i++ {
-		// Some prefixes parse as shorter legacy announces (the encoding
-		// is self-delimiting per section) — that is fine; what must
-		// never happen is a truncation passing verification.
-		if ok, _ := verifier.VerifyAnnounce(signed[:i]); ok {
-			t.Fatalf("truncated announce [:%d] verified", i)
+		if ok, legacy := verifier.VerifyAnnounce(signed[:i]); ok || legacy {
+			t.Fatalf("truncated announce [:%d]: ok=%v legacy=%v, want malformed", i, ok, legacy)
 		}
 	}
-	if ok, legacy := verifier.VerifyAnnounce(signed[:len(plain)]); ok || !legacy {
+	prefix, _, _, _, _, err := proto.SplitAnnounceSig(signed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped, err := proto.AppendAnnounceSig(prefix, proto.AuthNone, 0, nil)
+	if err != nil || !bytes.Equal(stripped, plain) {
+		t.Fatalf("blanking the signature section did not give back the unsigned announce (err=%v)", err)
+	}
+	if ok, legacy := verifier.VerifyAnnounce(stripped); ok || !legacy {
 		t.Fatalf("sig-stripped announce: ok=%v legacy=%v, want (false, true)", ok, legacy)
 	}
 }
