@@ -1,17 +1,26 @@
 package audio
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Decode converts raw bytes in the wire encoding described by p into
 // interleaved 16-bit signed PCM, the internal working format. Trailing
 // partial samples are ignored.
-func Decode(p Params, data []byte) []int16 {
+func Decode(p Params, data []byte) []int16 { return AppendDecode(nil, p, data) }
+
+// AppendDecode is Decode appending to dst, for a caller that keeps its
+// sample buffer from one call to the next.
+func AppendDecode(dst []int16, p Params, data []byte) []int16 {
 	bps := p.Encoding.BytesPerSample()
 	if bps == 0 {
-		return nil
+		return dst
 	}
 	n := len(data) / bps
-	out := make([]int16, n)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	dst = dst[:len(dst)+n]
 	switch p.Encoding {
 	case EncodingULaw:
 		for i := 0; i < n; i++ {
@@ -48,17 +57,23 @@ func Decode(p Params, data []byte) []int16 {
 			out[i] = int16(u ^ 0x8000)
 		}
 	}
-	return out
+	return dst
 }
 
 // Encode converts interleaved PCM16 samples into the wire encoding
 // described by p.
-func Encode(p Params, samples []int16) []byte {
+func Encode(p Params, samples []int16) []byte { return AppendEncode(nil, p, samples) }
+
+// AppendEncode is Encode appending to dst.
+func AppendEncode(dst []byte, p Params, samples []int16) []byte {
 	bps := p.Encoding.BytesPerSample()
 	if bps == 0 {
-		return nil
+		return dst
 	}
-	out := make([]byte, len(samples)*bps)
+	n := len(samples) * bps
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	dst = dst[:len(dst)+n]
 	switch p.Encoding {
 	case EncodingULaw:
 		for i, s := range samples {
@@ -99,7 +114,7 @@ func Encode(p Params, samples []int16) []byte {
 			out[2*i+1] = byte(u)
 		}
 	}
-	return out
+	return dst
 }
 
 // SilenceByte returns the byte value that represents silence in encoding

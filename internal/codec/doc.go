@@ -9,4 +9,12 @@
 // same wire encoding, ready to be written to the speaker's audio device.
 // Packets are independently decodable so that a receive-only speaker can
 // tune in mid-stream (§2.3).
+//
+// The same codecs back the relay's delivery tiers (Profile, Transcoder):
+// a relay re-encodes each upstream packet once per tier somebody holds,
+// on its receive path, so what a Transcode costs is time every lessee's
+// packet spends inside the relay. The OVL hop is therefore O(N log N)
+// and allocation-free in steady state; BenchmarkTranscode,
+// BenchmarkOVLEncodeHop and BenchmarkOVLDecodeFrame price it, and
+// TestOVLSteadyStateAllocs pins the allocations.
 package codec

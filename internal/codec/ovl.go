@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/audio"
 	"repro/internal/dsp"
@@ -13,9 +14,17 @@ import (
 // OVL is the lossy transform codec standing in for Ogg Vorbis: a lapped
 // MDCT with a sine window, per-band dead-zone quantization against an
 // absolute noise floor set by the quality index, and Rice entropy coding.
-// Like Vorbis it is a psycho-acoustic-style frequency-domain coder whose
-// CPU cost dominates the rebroadcaster (Figure 4), whose frame buffering
-// adds latency (§2.2), and whose losses compound across generations.
+// Like Vorbis it is a psycho-acoustic-style frequency-domain coder: the
+// most expensive transport the rebroadcaster can pick (Figure 4: cost per
+// stream, linear in the stream count), one whose frame buffering adds
+// latency (§2.2) and whose losses compound across generations.
+//
+// A hop costs O(N log N) for the transform (dsp.MDCT) plus one pass of
+// quantiser and Rice coder over the N coefficients, and in steady state
+// allocates only the bytes it returns: encoder and decoder each keep
+// their transform, band tables and sample buffers for the life of the
+// stream. That matters beyond the producer: a relay serving the OVL
+// tiers runs this code for every upstream packet on its receive path.
 //
 // Frame layout (big-endian):
 //
@@ -23,13 +32,16 @@ import (
 //	version uint8  = 1
 //	chans   uint8
 //	quality uint8  (0..10)
-//	ncoeff  uint16 (MDCT size N)
+//	ncoeff  uint16 (MDCT size N: a power of two in [16, 4096])
 //	paylen  uint16 (bitstream bytes following the header)
 //	payload: per channel, per band: 1 zero-band flag bit;
 //	         if nonzero: 4-bit Rice k, then zigzag Rice codes.
 //
 // Each frame decodes independently given N samples of overlap history;
 // a speaker that tunes in mid-stream fades in over one frame (§2.3).
+// The header is all a decoder needs to size itself, so it is also all a
+// forger needs: nothing is built for a frame before its size has passed
+// the rule above (the encoder emits 128 and 256).
 
 const (
 	ovlMagic    = 0xA5
@@ -105,17 +117,23 @@ func ovlSteps(quality int) []float64 {
 }
 
 type ovlEncoder struct {
-	params  audio.Params
-	quality int
-	n       int
-	mdct    *dsp.MDCT
-	edges   []int
-	steps   []float64
+	params   audio.Params
+	quality  int
+	n        int
+	hopBytes int // one hop of N frames in the stream's wire encoding
+	mdct     *dsp.MDCT
+	edges    []int
+	steps    []float64
 
-	byteBuf []byte      // undecoded raw input
-	hist    [][]float64 // per channel: previous N input samples
-	frame   []float64   // scratch 2N window
-	coeffs  []float64   // scratch N coefficients
+	// Everything below is reused from hop to hop: in steady state a hop
+	// allocates nothing but the bytes it returns.
+	pending []byte         // raw input short of a whole hop (cap hopBytes)
+	hist    [][]float64    // per channel: previous N input samples
+	samples []int16        // the hop's interleaved samples
+	frame   []float64      // 2N analysis window
+	coeffs  []float64      // N coefficients
+	qs      []uint32       // one band's quantised, zigzagged coefficients
+	bits    *dsp.BitWriter // the hop's payload bitstream
 }
 
 func newOVLEncoder(p audio.Params, quality int) (*ovlEncoder, error) {
@@ -130,16 +148,22 @@ func newOVLEncoder(p audio.Params, quality int) (*ovlEncoder, error) {
 	if quality > MaxQuality {
 		quality = MaxQuality
 	}
+	hopBytes := n * p.Channels * p.Encoding.BytesPerSample()
 	e := &ovlEncoder{
-		params:  p,
-		quality: quality,
-		n:       n,
-		mdct:    m,
-		edges:   ovlBandEdges(n),
-		steps:   ovlSteps(quality),
-		hist:    make([][]float64, p.Channels),
-		frame:   make([]float64, 2*n),
-		coeffs:  make([]float64, n),
+		params:   p,
+		quality:  quality,
+		n:        n,
+		hopBytes: hopBytes,
+		mdct:     m,
+		edges:    ovlBandEdges(n),
+		steps:    ovlSteps(quality),
+		pending:  make([]byte, 0, hopBytes),
+		hist:     make([][]float64, p.Channels),
+		samples:  make([]int16, 0, n*p.Channels),
+		frame:    make([]float64, 2*n),
+		coeffs:   make([]float64, n),
+		qs:       make([]uint32, 0, n),
+		bits:     dsp.NewBitWriter(),
 	}
 	for c := range e.hist {
 		e.hist[c] = make([]float64, n)
@@ -153,43 +177,54 @@ func (e *ovlEncoder) Name() string { return "ovl" }
 func (e *ovlEncoder) Latency() int { return e.n }
 
 func (e *ovlEncoder) Encode(raw []byte) ([]byte, error) {
-	e.byteBuf = append(e.byteBuf, raw...)
-	hopBytes := e.n * e.params.Channels * e.params.Encoding.BytesPerSample()
 	var out []byte
-	for len(e.byteBuf) >= hopBytes {
-		chunk := e.byteBuf[:hopBytes]
-		samples := audio.Decode(e.params, chunk)
-		e.byteBuf = e.byteBuf[hopBytes:]
-		frame, err := e.encodeHop(samples)
+	var err error
+	if len(e.pending) > 0 {
+		// Complete the buffered partial hop first.
+		take := min(e.hopBytes-len(e.pending), len(raw))
+		e.pending = append(e.pending, raw[:take]...)
+		raw = raw[take:]
+		if len(e.pending) < e.hopBytes {
+			return nil, nil
+		}
+		out, err = e.encodeHop(out, e.pending)
+		e.pending = e.pending[:0]
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, frame...)
 	}
+	for ; len(raw) >= e.hopBytes; raw = raw[e.hopBytes:] {
+		if out, err = e.encodeHop(out, raw[:e.hopBytes]); err != nil {
+			return nil, err
+		}
+	}
+	e.pending = append(e.pending, raw...)
 	return out, nil
 }
 
 func (e *ovlEncoder) Flush() ([]byte, error) {
-	hopBytes := e.n * e.params.Channels * e.params.Encoding.BytesPerSample()
-	if len(e.byteBuf) == 0 {
+	if len(e.pending) == 0 {
 		return nil, nil
 	}
-	pad := make([]byte, hopBytes-len(e.byteBuf))
-	audio.FillSilence(e.params.Encoding, pad)
-	out, err := e.Encode(pad)
-	e.byteBuf = nil
+	// Pad the partial hop with silence where it sits.
+	have := len(e.pending)
+	e.pending = e.pending[:e.hopBytes]
+	audio.FillSilence(e.params.Encoding, e.pending[have:])
+	out, err := e.encodeHop(nil, e.pending)
+	e.pending = e.pending[:0]
 	for c := range e.hist {
-		for i := range e.hist[c] {
-			e.hist[c][i] = 0
-		}
+		clear(e.hist[c])
 	}
 	return out, err
 }
 
-// encodeHop encodes one hop of N new frames (interleaved samples).
-func (e *ovlEncoder) encodeHop(samples []int16) ([]byte, error) {
+// encodeHop encodes one hop of N new frames (hopBytes of raw audio) and
+// appends the OVL frame to dst.
+func (e *ovlEncoder) encodeHop(dst, raw []byte) ([]byte, error) {
 	ch := e.params.Channels
-	w := dsp.NewBitWriter()
+	e.samples = audio.AppendDecode(e.samples[:0], e.params, raw)
+	samples, w := e.samples, e.bits
+	w.Reset()
 	scale := 2 / float64(e.n)
 	for c := 0; c < ch; c++ {
 		// Assemble the 2N analysis window: previous N + new N.
@@ -202,12 +237,12 @@ func (e *ovlEncoder) encodeHop(samples []int16) ([]byte, error) {
 		e.mdct.Forward(e.frame, e.coeffs)
 		for b := 0; b < ovlNumBands; b++ {
 			lo, hi := e.edges[b], e.edges[b+1]
-			step := e.steps[b]
+			perStep := scale / e.steps[b]
 			// Quantize the band; detect the all-zero case first.
 			allZero := true
-			qs := make([]uint32, 0, hi-lo)
+			qs := e.qs[:0]
 			for k := lo; k < hi; k++ {
-				q := int32(math.Round(e.coeffs[k] * scale / step))
+				q := int32(math.Round(e.coeffs[k] * perStep))
 				u := dsp.ZigZag(q)
 				if u != 0 {
 					allZero = false
@@ -233,21 +268,29 @@ func (e *ovlEncoder) encodeHop(samples []int16) ([]byte, error) {
 	if len(payload) > 65535 {
 		return nil, fmt.Errorf("codec: ovl frame payload %d bytes exceeds format limit", len(payload))
 	}
-	frame := make([]byte, ovlHeader+len(payload))
-	frame[0] = ovlMagic
-	frame[1] = ovlVersion
-	frame[2] = byte(ch)
-	frame[3] = byte(e.quality)
-	binary.BigEndian.PutUint16(frame[4:6], uint16(e.n))
-	binary.BigEndian.PutUint16(frame[6:8], uint16(len(payload)))
-	copy(frame[ovlHeader:], payload)
-	return frame, nil
+	dst = slices.Grow(dst, ovlHeader+len(payload))
+	dst = append(dst, ovlMagic, ovlVersion, byte(ch), byte(e.quality))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(e.n))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
+	return append(dst, payload...), nil
 }
 
 type ovlDecoder struct {
-	params  audio.Params
+	params audio.Params
+
+	// The frame size and quality are established by the first frame seen
+	// and everything derived from them is kept until a frame names
+	// another: in steady state a frame allocates nothing but the bytes it
+	// returns.
+	n       int // MDCT size; 0 before the first frame and after Reset
+	quality int
+	mdct    *dsp.MDCT
+	edges   []int
+	steps   []float64
 	overlap [][]float64 // per channel: trailing N samples of the last IMDCT
-	n       int         // established by the first frame seen
+	coeffs  []float64   // N dequantised coefficients
+	buf     []float64   // 2N overlap-add region
+	samples []int16     // the frame's interleaved samples
 }
 
 func newOVLDecoder(p audio.Params) (*ovlDecoder, error) {
@@ -256,15 +299,20 @@ func newOVLDecoder(p audio.Params) (*ovlDecoder, error) {
 
 func (d *ovlDecoder) Name() string { return "ovl" }
 
+// Reset drops the overlap history. The buffers stay: they are zeroed, not
+// rebuilt, when the next frame turns out to be the size the last one was.
 func (d *ovlDecoder) Reset() {
-	d.overlap = nil
-	d.n = 0
+	for c := range d.overlap {
+		clear(d.overlap[c])
+	}
 }
 
 var errOVLFrame = errors.New("codec: malformed ovl frame")
 
-func (d *ovlDecoder) Decode(pkt []byte) ([]byte, error) {
-	var out []byte
+func (d *ovlDecoder) Decode(pkt []byte) ([]byte, error) { return d.appendDecode(nil, pkt) }
+
+// appendDecode is Decode appending the recovered audio to dst.
+func (d *ovlDecoder) appendDecode(dst, pkt []byte) ([]byte, error) {
 	for len(pkt) > 0 {
 		if len(pkt) < ovlHeader {
 			return nil, errOVLFrame
@@ -279,7 +327,9 @@ func (d *ovlDecoder) Decode(pkt []byte) ([]byte, error) {
 		if ch != d.params.Channels {
 			return nil, fmt.Errorf("codec: ovl frame has %d channels, stream has %d", ch, d.params.Channels)
 		}
-		if quality > MaxQuality || n < 16 || n > 4096 || n%2 != 0 {
+		// The size is checked before anything is built for it: a forged
+		// header must not be able to make the decoder size a transform.
+		if quality > MaxQuality || !dsp.ValidMDCTSize(n) {
 			return nil, errOVLFrame
 		}
 		if len(pkt) < ovlHeader+payLen {
@@ -287,40 +337,51 @@ func (d *ovlDecoder) Decode(pkt []byte) ([]byte, error) {
 		}
 		payload := pkt[ovlHeader : ovlHeader+payLen]
 		pkt = pkt[ovlHeader+payLen:]
-		pcm, err := d.decodeFrame(n, quality, payload)
-		if err != nil {
+		var err error
+		if dst, err = d.decodeFrame(dst, n, quality, payload); err != nil {
 			return nil, err
 		}
-		out = append(out, pcm...)
 	}
-	return out, nil
+	return dst, nil
 }
 
-func (d *ovlDecoder) decodeFrame(n, quality int, payload []byte) ([]byte, error) {
+// configure sizes the decoder for frames of n coefficients at the given
+// quality index. A new size restarts the overlap history.
+func (d *ovlDecoder) configure(n, quality int) error {
 	if d.n != n {
-		// First frame, or the producer changed frame size: restart overlap.
-		d.n = n
-		d.overlap = make([][]float64, d.params.Channels)
+		m, err := dsp.NewMDCT(n)
+		if err != nil {
+			return err
+		}
+		ch := d.params.Channels
+		d.n, d.mdct, d.edges = n, m, ovlBandEdges(n)
+		d.overlap = make([][]float64, ch)
 		for c := range d.overlap {
 			d.overlap[c] = make([]float64, n)
 		}
+		d.coeffs = make([]float64, n)
+		d.buf = make([]float64, 2*n)
+		d.samples = make([]int16, n*ch)
+		d.quality = -1
 	}
-	m, err := dsp.NewMDCT(n)
-	if err != nil {
+	if d.quality != quality {
+		d.quality, d.steps = quality, ovlSteps(quality)
+	}
+	return nil
+}
+
+// decodeFrame decodes one frame's payload and appends its N frames of
+// audio, in the stream's wire encoding, to dst.
+func (d *ovlDecoder) decodeFrame(dst []byte, n, quality int, payload []byte) ([]byte, error) {
+	if err := d.configure(n, quality); err != nil {
 		return nil, err
 	}
-	edges := ovlBandEdges(n)
-	steps := ovlSteps(quality)
 	r := dsp.NewBitReader(payload)
 	ch := d.params.Channels
-	coeffs := make([]float64, n)
-	buf := make([]float64, 2*n)
-	samples := make([]int16, n*ch)
+	coeffs, buf, samples := d.coeffs, d.buf, d.samples
 	unscale := float64(n) / 2
 	for c := 0; c < ch; c++ {
-		for i := range coeffs {
-			coeffs[i] = 0
-		}
+		clear(coeffs)
 		for b := 0; b < ovlNumBands; b++ {
 			flag, err := r.ReadBit()
 			if err != nil {
@@ -333,8 +394,8 @@ func (d *ovlDecoder) decodeFrame(n, quality int, payload []byte) ([]byte, error)
 			if err != nil {
 				return nil, fmt.Errorf("codec: ovl rice k: %w", err)
 			}
-			step := steps[b]
-			for k := edges[b]; k < edges[b+1]; k++ {
+			step := d.steps[b]
+			for k := d.edges[b]; k < d.edges[b+1]; k++ {
 				u, err := dsp.RiceDecode(r, uint(kv))
 				if err != nil {
 					return nil, fmt.Errorf("codec: ovl coeff: %w", err)
@@ -343,15 +404,13 @@ func (d *ovlDecoder) decodeFrame(n, quality int, payload []byte) ([]byte, error)
 			}
 		}
 		// Overlap-add: first half completes the previous frame's tail.
-		for i := range buf {
-			buf[i] = 0
-		}
 		copy(buf[:n], d.overlap[c])
-		m.InverseOverlap(coeffs, buf)
+		clear(buf[n:])
+		d.mdct.InverseOverlap(coeffs, buf)
 		for i := 0; i < n; i++ {
 			samples[i*ch+c] = audio.Saturate(int32(math.Round(buf[i])))
 		}
 		copy(d.overlap[c], buf[n:])
 	}
-	return audio.Encode(d.params, samples), nil
+	return audio.AppendEncode(dst, d.params, samples), nil
 }

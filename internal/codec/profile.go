@@ -127,6 +127,16 @@ type Transcoder struct {
 	profile Profile
 	dec     Decoder
 	enc     Encoder
+	pcm     []byte // the decoded packet, reused from call to call
+}
+
+// appendDecoder is a Decoder that can write into its caller's buffer,
+// which is how a Transcoder keeps one PCM buffer for the stream's life:
+// the decoded audio never leaves Transcode. raw and OVL are; a codec
+// registered from outside need not be.
+type appendDecoder interface {
+	// appendDecode is Decode appending the recovered audio to dst.
+	appendDecode(dst, pkt []byte) ([]byte, error)
 }
 
 // NewTranscoder builds a transcoder from the named source codec (the
@@ -158,7 +168,15 @@ func (t *Transcoder) Profile() Profile { return t.profile }
 // encoding. The result is independently decodable.
 func (t *Transcoder) Transcode(payload []byte) ([]byte, error) {
 	t.dec.Reset()
-	pcm, err := t.dec.Decode(payload)
+	var pcm []byte
+	var err error
+	if ad, ok := t.dec.(appendDecoder); ok {
+		if pcm, err = ad.appendDecode(t.pcm[:0], payload); err == nil {
+			t.pcm = pcm
+		}
+	} else {
+		pcm, err = t.dec.Decode(payload)
+	}
 	if err != nil {
 		return nil, err
 	}

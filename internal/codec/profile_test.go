@@ -193,3 +193,29 @@ func TestTranscodeMalformedFrames(t *testing.T) {
 		t.Fatalf("ProfileSource has no transcoder")
 	}
 }
+
+// BenchmarkTranscode prices what a tiered relay pays per upstream packet
+// and tier: one 1,260-byte CD-quality raw payload (the producer's packet
+// at 44.1 kHz stereo) decoded, re-encoded and flushed.
+func BenchmarkTranscode(b *testing.B) {
+	p := audio.CDQuality
+	samples := make([]int16, 1260/2)
+	audio.Music(p.SampleRate, p.Channels).ReadSamples(samples)
+	payload := audio.Encode(p, samples)
+	for _, profile := range []Profile{ProfileULaw, ProfileOVLHigh, ProfileOVLLow} {
+		b.Run(profile.String(), func(b *testing.B) {
+			tc, err := NewTranscoder("raw", p, profile)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchSink, err = tc.Transcode(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

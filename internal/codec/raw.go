@@ -31,10 +31,10 @@ func (rawCodec) Encode(raw []byte) ([]byte, error) {
 
 func (rawCodec) Flush() ([]byte, error) { return nil, nil }
 
-func (rawCodec) Decode(pkt []byte) ([]byte, error) {
-	out := make([]byte, len(pkt))
-	copy(out, pkt)
-	return out, nil
+func (c rawCodec) Decode(pkt []byte) ([]byte, error) {
+	return c.appendDecode(make([]byte, 0, len(pkt)), pkt)
 }
+
+func (rawCodec) appendDecode(dst, pkt []byte) ([]byte, error) { return append(dst, pkt...), nil }
 
 func (rawCodec) Reset() {}

@@ -15,6 +15,11 @@ type BitWriter struct {
 // NewBitWriter returns an empty writer.
 func NewBitWriter() *BitWriter { return &BitWriter{} }
 
+// Reset empties the writer for reuse, keeping the buffer it has grown.
+// Bytes returned before the Reset are overwritten by what is written
+// after it.
+func (w *BitWriter) Reset() { w.buf, w.cur, w.nbit = w.buf[:0], 0, 0 }
+
 // WriteBits writes the low n bits of v, MSB first. n must be <= 57.
 func (w *BitWriter) WriteBits(v uint64, n uint) {
 	if n == 0 {
@@ -45,7 +50,8 @@ func (w *BitWriter) WriteUnary(v uint32) {
 }
 
 // Bytes returns the encoded bytes, padding the final partial byte with
-// zero bits. The writer remains usable only for Bytes calls afterwards.
+// zero bits. The writer remains usable only for Bytes calls afterwards,
+// until Reset.
 func (w *BitWriter) Bytes() []byte {
 	if w.nbit > 0 {
 		w.buf = append(w.buf, byte(w.cur<<(8-w.nbit)))

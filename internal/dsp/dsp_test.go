@@ -1,8 +1,12 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -268,39 +272,155 @@ func TestFFTSpectrumPeak(t *testing.T) {
 	}
 }
 
+// mdctBasis returns the MDCT basis function cos(π/N·(j+½+N/2)(k+½)) for
+// size n. The phase is (2j+1+N)(2k+1) steps of π/4N, so it is reduced
+// exactly, in integers, onto one period of 8N tabulated cosines.
+func mdctBasis(n int) func(j, k int) float64 {
+	table := make([]float64, 8*n)
+	for i := range table {
+		table[i] = math.Cos(math.Pi * float64(i) / float64(4*n))
+	}
+	return func(j, k int) float64 { return table[(2*j+1+n)*(2*k+1)%(8*n)] }
+}
+
+// mdctDirect is the MDCT's defining O(N²) sum, windowed like the plan:
+// the oracle the fast kernel is held to.
+func mdctDirect(m *MDCT, in, out []float64) {
+	n, basis := m.N(), mdctBasis(m.N())
+	for k := 0; k < n; k++ {
+		var acc float64
+		for j := 0; j < 2*n; j++ {
+			acc += m.window[j] * in[j] * basis(j, k)
+		}
+		out[k] = acc
+	}
+}
+
+// imdctDirectOverlap is the matching IMDCT: 2/N scale, synthesis window,
+// overlap-added into out.
+func imdctDirectOverlap(m *MDCT, coeffs, out []float64) {
+	n, basis := m.N(), mdctBasis(m.N())
+	for j := 0; j < 2*n; j++ {
+		var acc float64
+		for k := 0; k < n; k++ {
+			acc += coeffs[k] * basis(j, k)
+		}
+		out[j] += acc * 2 / float64(n) * m.window[j]
+	}
+}
+
+// noise returns n seeded samples uniform in ±32768, the codec's full scale.
+func noise(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = (rng.Float64()*2 - 1) * 32768
+	}
+	return out
+}
+
+func TestMDCTMatchesDirectDefinition(t *testing.T) {
+	const tol = 1e-9 * 32768
+	for _, n := range []int{16, 64, 128, 256, 1024, 4096} {
+		m, err := NewMDCT(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := noise(int64(n), 2*n)
+		got, want := make([]float64, n), make([]float64, n)
+		m.Forward(in, got)
+		mdctDirect(m, in, want)
+		for k := range want {
+			if math.Abs(got[k]-want[k]) > tol {
+				t.Fatalf("n=%d Forward[%d] = %g, direct sum %g", n, k, got[k], want[k])
+			}
+		}
+		// The inverse, onto a non-zero overlap so the add is checked too.
+		// Coefficients as the codec scales them: full-scale samples out.
+		coeffs := noise(int64(n)+1, n)
+		gotOut, wantOut := noise(int64(n)+2, 2*n), noise(int64(n)+2, 2*n)
+		m.InverseOverlap(coeffs, gotOut)
+		imdctDirectOverlap(m, coeffs, wantOut)
+		for j := range wantOut {
+			if math.Abs(gotOut[j]-wantOut[j]) > tol {
+				t.Fatalf("n=%d InverseOverlap[%d] = %g, direct sum %g", n, j, gotOut[j], wantOut[j])
+			}
+		}
+	}
+}
+
 func TestMDCTPerfectReconstruction(t *testing.T) {
 	// The TDAC property: windowed MDCT -> IMDCT with 50% overlap-add
 	// reconstructs the interior of the signal exactly.
-	n := 64
-	m, err := NewMDCT(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 8 * n
-	sig := make([]float64, total)
-	for i := range sig {
-		sig[i] = math.Sin(float64(i)*0.13) + 0.5*math.Cos(float64(i)*0.41)
-	}
-	recon := make([]float64, total)
-	coeffs := make([]float64, n)
-	frame := make([]float64, 2*n)
-	for start := 0; start+2*n <= total; start += n {
-		m.Forward(sig[start:start+2*n], coeffs)
-		for i := range frame {
-			frame[i] = 0
+	for _, n := range []int{64, 128, 256} {
+		m, err := NewMDCT(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		m.InverseOverlap(coeffs, frame)
-		// Manual overlap-add into recon.
-		for i := 0; i < 2*n; i++ {
-			recon[start+i] += frame[i]
+		total := 8 * n
+		sig := make([]float64, total)
+		for i := range sig {
+			sig[i] = math.Sin(float64(i)*0.13) + 0.5*math.Cos(float64(i)*0.41)
 		}
-	}
-	// Interior samples (after the first frame, before the last) must match.
-	for i := n; i < total-2*n; i++ {
-		if math.Abs(recon[i]-sig[i]) > 1e-9 {
-			t.Fatalf("sample %d: recon %g vs %g", i, recon[i], sig[i])
+		recon := make([]float64, total)
+		coeffs := make([]float64, n)
+		for start := 0; start+2*n <= total; start += n {
+			m.Forward(sig[start:start+2*n], coeffs)
+			m.InverseOverlap(coeffs, recon[start:start+2*n])
+		}
+		// Interior samples (after the first frame, before the last) must match.
+		for i := n; i < total-2*n; i++ {
+			if math.Abs(recon[i]-sig[i]) > 1e-9 {
+				t.Fatalf("n=%d sample %d: recon %g vs %g", n, i, recon[i], sig[i])
+			}
 		}
 	}
+}
+
+// TestMDCTSharedPlanConcurrent drives one size's shared plan from eight
+// goroutines at once, each through its own MDCT: under -race it fails if
+// anything a transform writes is reachable from the plan cache.
+func TestMDCTSharedPlanConcurrent(t *testing.T) {
+	const n = 256
+	ref, _ := NewMDCT(n)
+	in := noise(7, 2*n)
+	want := make([]float64, n)
+	ref.Forward(in, want)
+	wantOut := make([]float64, 2*n)
+	ref.InverseOverlap(want, wantOut)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := NewMDCT(n)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			coeffs, out := make([]float64, n), make([]float64, 2*n)
+			for i := 0; i < 200; i++ {
+				m.Forward(in, coeffs)
+				for j := range out {
+					out[j] = 0
+				}
+				m.InverseOverlap(coeffs, out)
+			}
+			for k := range want {
+				if coeffs[k] != want[k] {
+					t.Errorf("Forward[%d] = %g beside other goroutines, %g alone", k, coeffs[k], want[k])
+					return
+				}
+			}
+			for j := range wantOut {
+				if out[j] != wantOut[j] {
+					t.Errorf("InverseOverlap[%d] = %g beside other goroutines, %g alone", j, out[j], wantOut[j])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMDCTEnergyCompaction(t *testing.T) {
@@ -339,16 +459,35 @@ func TestMDCTEnergyCompaction(t *testing.T) {
 func TestMDCTCacheShared(t *testing.T) {
 	a, _ := NewMDCT(64)
 	b, _ := NewMDCT(64)
-	if a != b {
+	if a.mdctPlan != b.mdctPlan {
 		t.Fatal("MDCT plans not shared")
+	}
+	if &a.z[0] == &b.z[0] {
+		t.Fatal("MDCT work buffers shared")
 	}
 }
 
 func TestMDCTRejectsBadSizes(t *testing.T) {
-	for _, n := range []int{0, -2, 3, 7} {
-		if _, err := NewMDCT(n); err == nil {
-			t.Errorf("NewMDCT(%d) accepted", n)
+	// Powers of two in [minMDCTSize, maxMDCTSize] only: nine sizes, so a
+	// peer naming sizes cannot grow the plan cache past nine O(N) plans.
+	var accepted int
+	for n := -2; n <= 2*maxMDCTSize; n++ {
+		_, err := NewMDCT(n)
+		want := n >= minMDCTSize && n <= maxMDCTSize && bits.OnesCount(uint(n)) == 1
+		if (err == nil) != want {
+			t.Fatalf("NewMDCT(%d): err %v, want accepted=%v", n, err, want)
 		}
+		if err == nil {
+			accepted++
+		}
+	}
+	if accepted != 9 {
+		t.Fatalf("NewMDCT accepts %d sizes, want 9", accepted)
+	}
+	var cached int
+	mdctCache.Range(func(_, _ any) bool { cached++; return true })
+	if cached > accepted {
+		t.Fatalf("plan cache holds %d entries, more than the %d sizes accepted", cached, accepted)
 	}
 }
 
@@ -360,5 +499,38 @@ func TestMDCTWindowPrincenBradley(t *testing.T) {
 		if math.Abs(s-1) > 1e-12 {
 			t.Fatalf("Princen-Bradley violated at %d: %g", i, s)
 		}
+	}
+}
+
+// The kernel benches price one transform of a block of seeded full-scale
+// noise; SetBytes counts the 2N float64 samples a block spans.
+func benchMDCT(b *testing.B, n int, inverse bool) {
+	m, err := NewMDCT(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, coeffs, out := noise(1, 2*n), make([]float64, n), make([]float64, 2*n)
+	m.Forward(in, coeffs)
+	b.ReportAllocs()
+	b.SetBytes(int64(2 * n * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if inverse {
+			m.InverseOverlap(coeffs, out)
+		} else {
+			m.Forward(in, coeffs)
+		}
+	}
+}
+
+func BenchmarkMDCTForward(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMDCT(b, n, false) })
+	}
+}
+
+func BenchmarkMDCTInverse(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMDCT(b, n, true) })
 	}
 }

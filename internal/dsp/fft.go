@@ -7,8 +7,10 @@ import (
 )
 
 // FFT is an iterative radix-2 decimation-in-time FFT with precomputed
-// twiddle factors and bit-reversal permutation. It backs the spectral
-// analysis helpers (speaker auto-volume, codec tests).
+// twiddle factors and bit-reversal permutation. It is the MDCT's kernel
+// (one N/2-point transform a block) and backs the spectral analysis
+// helpers (speaker auto-volume, codec tests). A plan is read-only once
+// built: any number of goroutines may Transform their own slices with it.
 type FFT struct {
 	n       int
 	rev     []int

@@ -44,7 +44,7 @@ const (
 	ReasonChannelFilter               // packet for a channel the target is not leased to
 	ReasonMalformed                   // unparseable packet
 	ReasonForeign                     // packet from a source the relay does not accept
-	ReasonTableFull                   // subscriber table at capacity
+	ReasonTableFull                   // subscriber table, or the relay's channel table, at capacity
 	ReasonStale                       // control packet replaying an already-consumed sequence
 	numReasons
 )

@@ -45,14 +45,92 @@ type entry struct {
 // published into win before head admits its index.
 type sequence struct {
 	mu    sync.Mutex
-	chans map[uint32]uint64 // packets accepted so far, by channel
-	ring  *dvr.Ring         // deep history at the same indexes (nil without Config.DVR)
+	chans map[uint32]channel // the channels being tracked, at most maxChannels
+	swept uint64             // head at the last sweep's trimChannels
+	ring  *dvr.Ring          // deep history at the same indexes (nil without Config.DVR)
 
 	// win is the live window, indexed seq % len(win). It has one slot
 	// more than QueueLen: the appender may have overwritten the oldest
 	// slot before it publishes the head that retires it.
 	win  []atomic.Pointer[entry]
 	head atomic.Uint64 // next index to be written
+}
+
+// maxChannels bounds the channel ids a relay tracks at once (sequence.chans
+// and, with them, Relay.streams and its three transcoders a channel). A
+// group carries one channel by the paper's design and a handful in
+// practice; the bound is what a producer spraying ids can make a relay
+// hold. Past it, packets of an id not yet tracked are refused until the
+// sweep has retired a quiet one (trimChannels).
+const maxChannels = 256
+
+// channel is the sequence's account of one channel id.
+type channel struct {
+	passed uint64 // packets accepted so far: what a lessee of the channel is owed
+	last   uint64 // arrival index of the newest, or the head when the id was admitted
+}
+
+// admit reports whether packets of ch are tracked, starting to if the
+// table has room. handlePacket calls it under r.mu; s.mu stays a leaf.
+func (s *sequence) admit(ch uint32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.chans[ch]; !ok {
+		if len(s.chans) >= maxChannels {
+			return false
+		}
+		s.chans[ch] = channel{last: s.head.Load()}
+	}
+	return true
+}
+
+// quiet reports whether c has had no packet since index since and its
+// newest has left a live window of the given length. Caller holds s.mu.
+func (s *sequence) quiet(c channel, since uint64, window int) bool {
+	return c.last < since && s.head.Load()-c.last > uint64(window)
+}
+
+// trimChannels forgets the channels that no subscriber leases by id, that
+// have been silent for a whole sweep and whose newest packet has left the
+// live window: the sequence's account and the stream with its transcoders
+// go together. The count a returning id restarts from is owed to nobody,
+// because only a lessee by id reads it. That is decided with every
+// shard locked, so no lease can appear or change filter meanwhile — and
+// only on a sweep that found a quiet channel at all, which on a relay
+// carrying its ordinary few is when one of them has stopped.
+func (r *Relay) trimChannels() {
+	s := &r.seq
+	s.mu.Lock()
+	since, found := s.swept, false
+	s.swept = s.head.Load()
+	for _, c := range s.chans {
+		if found = s.quiet(c, since, r.cfg.QueueLen); found {
+			break
+		}
+	}
+	s.mu.Unlock()
+	if !found {
+		return
+	}
+	leased := make(map[uint32]bool)
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		defer sh.mu.Unlock() // all of them, until the trim is done
+		for _, sub := range sh.order {
+			leased[sub.channel] = true
+		}
+	}
+	// txMu outside seq.mu, which is a leaf everywhere else too.
+	r.txMu.Lock()
+	defer r.txMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ch, c := range s.chans {
+		if !leased[ch] && s.quiet(c, since, r.cfg.QueueLen) {
+			delete(s.chans, ch)
+			delete(r.streams, ch)
+		}
+	}
 }
 
 // at returns the entry at idx while the live window still holds it.
@@ -71,7 +149,7 @@ func (s *sequence) tip(ch uint32) (head, passed uint64) {
 	if ch == 0 {
 		return head, head
 	}
-	return head, s.chans[ch]
+	return head, s.chans[ch].passed
 }
 
 // goLive puts sub's cursor at the head: zero lag.
@@ -91,7 +169,7 @@ func (r *Relay) fanout(ch uint32, data []byte) {
 	s := &r.seq
 	s.mu.Lock()
 	e.seq = s.head.Load()
-	s.chans[ch]++
+	s.chans[ch] = channel{passed: s.chans[ch].passed + 1, last: e.seq}
 	if s.ring != nil {
 		t, _, _ := proto.PeekType(data)
 		s.ring.Append(data, t == proto.TypeControl)

@@ -845,3 +845,104 @@ func TestConvergeThenAppendByHand(t *testing.T) {
 	})
 	sim.WaitIdle()
 }
+
+// TestChannelTableBounded sprays the group with Control packets for
+// 10,000 channel ids nobody leases, across several sweeps. The sequence's
+// per-channel account and the stream table (three transcoders an entry)
+// must never hold more than maxChannels ids, the sweep must retire the
+// quiet ones, and none of it may touch a channel somebody leases: its
+// transcoders stay the ones it had, and its lessee is owed exactly what
+// it is sent.
+func TestChannelTableBounded(t *testing.T) {
+	const sweep = 100 * time.Millisecond
+	const leased = uint32(7)
+	sim, _, r := newTestRelay(t, Config{SweepInterval: sweep})
+	sub := lan.Addr("10.0.0.2:5004")
+	if !r.subscribe(sub, &proto.Subscribe{Channel: leased, Profile: uint8(codec.ProfileOVLLow)}, time.Minute) {
+		t.Fatal("subscribe failed")
+	}
+	inject := func(data []byte) {
+		r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
+	}
+	tables := func() (chans, streams int, acct channel, tx [codec.NumProfiles]*codec.Transcoder) {
+		r.txMu.Lock()
+		defer r.txMu.Unlock()
+		r.seq.mu.Lock()
+		defer r.seq.mu.Unlock()
+		if st := r.streams[leased]; st != nil {
+			tx = st.tx
+		}
+		return len(r.seq.chans), len(r.streams), r.seq.chans[leased], tx
+	}
+	var got [][]byte
+	deliver := func() { got = append(got, drain(r)[sub]...) }
+
+	sim.Go("sweep", r.sweep)
+	sim.Go("test", func() {
+		defer r.Stop()
+		inject(controlPkt(t, leased, 1))
+		inject(dataPkt(t, leased, 1, 1, 1260))
+		deliver()
+		_, _, _, before := tables()
+		if before[codec.ProfileOVLLow] == nil {
+			t.Error("no ovl-low transcoder learned for the leased channel")
+			return
+		}
+
+		for id := uint32(0); id < 10000; id++ {
+			inject(controlPkt(t, 1000+id, 1))
+			if chans, streams, _, _ := tables(); chans > maxChannels || streams > maxChannels {
+				t.Errorf("after %d ids the tables hold %d accounts and %d streams, bound %d", id+1, chans, streams, maxChannels)
+				return
+			}
+			if id%500 == 499 {
+				deliver()
+				sim.Sleep(sweep)
+			}
+		}
+		st := r.Stats()
+		if st.UpstreamForeign == 0 || st.UpstreamControl < maxChannels {
+			t.Errorf("flood: %d controls taken, %d refused; want the table filled and the rest refused",
+				st.UpstreamControl, st.UpstreamForeign)
+		}
+
+		// The leased channel plays on: enough to push the flood's last
+		// ids out of the live window, then two sweeps to retire them.
+		for seq := uint64(2); seq < 2+2*DefaultQueueLen; seq++ {
+			inject(dataPkt(t, leased, 1, seq, 1260))
+			deliver()
+		}
+		sim.Sleep(2*sweep + sweep/2)
+		chans, streams, acct, after := tables()
+		if chans != 1 || streams != 1 {
+			t.Errorf("after the flood went quiet the tables hold %d accounts and %d streams, want the leased channel alone", chans, streams)
+		}
+		if after != before {
+			t.Error("the leased channel's transcoders were rebuilt")
+		}
+		info := r.Subscribers()[0]
+		if want := uint64(2 + 2*DefaultQueueLen); acct.passed != want || info.Queued != 0 || info.Dropped != 0 {
+			t.Errorf("leased channel: %d packets accounted (want %d), lessee dropped %d queued %d", acct.passed, want, info.Dropped, info.Queued)
+		}
+		if len(got) != int(acct.passed) {
+			t.Errorf("lessee was handed %d packets of the %d its channel carried", len(got), acct.passed)
+		}
+		// Every one of them the ovl-low variant: the stream was never lost.
+		for i, pkt := range got {
+			var epoch uint32
+			switch typ, _, _ := proto.PeekType(pkt); typ {
+			case proto.TypeControl:
+				c, _ := proto.UnmarshalControl(pkt)
+				epoch = c.Epoch
+			case proto.TypeData:
+				d, _ := proto.UnmarshalData(pkt)
+				epoch = d.Epoch
+			}
+			if epoch != profileEpoch(1, codec.ProfileOVLLow) {
+				t.Errorf("packet %d went out under epoch %d, want the ovl-low tier's %d", i, epoch, profileEpoch(1, codec.ProfileOVLLow))
+				break
+			}
+		}
+	})
+	sim.WaitIdle()
+}

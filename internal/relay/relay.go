@@ -288,7 +288,7 @@ func (c *Config) applyDefaults() {
 type Stats struct {
 	UpstreamControl  int64 `mib:"es.relay.upstream.control" help:"control packets taken off the group"`
 	UpstreamData     int64 `mib:"es.relay.upstream.data" help:"data packets taken off the group"`
-	UpstreamForeign  int64 `mib:"es.relay.upstream.foreign" help:"packets refused as not-from-the-group (injection attempts) or for a foreign channel"`
+	UpstreamForeign  int64 `mib:"es.relay.upstream.foreign" help:"packets refused as not-from-the-group (injection attempts), for a foreign channel, or for a channel id beyond the 256 tracked at once"`
 	Malformed        int64 `mib:"es.relay.malformed" help:"unparseable packets (any direction)"`
 	Subscribes       int64 `mib:"es.relay.subscribes" help:"new subscriptions granted"`
 	Refreshes        int64 `mib:"es.relay.refreshes" help:"lease refreshes"`
@@ -589,7 +589,7 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	r.catchupLag = obs.NewHistogram("es_relay_dvr_catchup_lag_seconds",
 		"age of each DVR backlog packet when served to a catching-up subscriber", nil)
 	r.tracer = obs.NewTracer(cfg.TraceSample, 0)
-	r.seq.chans = make(map[uint32]uint64)
+	r.seq.chans = make(map[uint32]channel)
 	r.seq.win = make([]atomic.Pointer[entry], cfg.QueueLen+1)
 	if cfg.DVR {
 		r.seq.ring = dvr.NewRing(clock, cfg.DVRDepth, 0)
@@ -1080,6 +1080,14 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 			r.tracer.Drop(obs.PathUpstream, obs.ReasonChannelFilter, string(pkt.From), ch)
 			return
 		}
+		// The channel table is bounded (maxChannels): an id it has no
+		// room for is refused like any other foreign packet.
+		if !r.seq.admit(ch) {
+			r.stats.UpstreamForeign++
+			r.mu.Unlock()
+			r.tracer.Drop(obs.PathUpstream, obs.ReasonTableFull, string(pkt.From), ch)
+			return
+		}
 		if t == proto.TypeControl {
 			r.stats.UpstreamControl++
 		} else {
@@ -1172,6 +1180,7 @@ func (r *Relay) sweep() {
 			}
 			sh.mu.Unlock()
 		}
+		r.trimChannels()
 		if expired+down+up > 0 {
 			r.mu.Lock()
 			r.nsubs -= int(expired)
