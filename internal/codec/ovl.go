@@ -282,7 +282,7 @@ type ovlDecoder struct {
 	// and everything derived from them is kept until a frame names
 	// another: in steady state a frame allocates nothing but the bytes it
 	// returns.
-	n       int // MDCT size; 0 before the first frame and after Reset
+	n       int // MDCT size; 0 before the first frame
 	quality int
 	mdct    *dsp.MDCT
 	edges   []int

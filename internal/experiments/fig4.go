@@ -34,51 +34,40 @@ func Fig4(w io.Writer, seconds int, streamCounts ...int) Fig4Result {
 	p := audio.CDQuality
 
 	res := Fig4Result{Series: map[int]*stats.Series{}, MeanCPU: map[int]float64{}}
-	// One independent encoder per stream, like the rebroadcaster runs;
-	// one second of distinct audio per stream per tick.
-	type config struct {
-		encs []codec.Encoder
-		srcs []audio.Source
-	}
-	configs := make([]config, len(streamCounts))
-	for c, n := range streamCounts {
-		configs[c] = config{encs: make([]codec.Encoder, n), srcs: make([]audio.Source, n)}
-		for i := 0; i < n; i++ {
+	for _, n := range streamCounts {
+		// One independent encoder per stream, like the rebroadcaster
+		// runs; one second of distinct audio per stream per tick.
+		encs := make([]codec.Encoder, n)
+		srcs := make([]audio.Source, n)
+		for i := range encs {
 			enc, err := codec.NewEncoder("ovl", p, codec.MaxQuality)
 			if err != nil {
 				fmt.Fprintf(w, "  error: %v\n", err)
 				return res
 			}
-			configs[c].encs[i] = enc
-			configs[c].srcs[i] = audio.NewMix(
+			encs[i] = enc
+			srcs[i] = audio.NewMix(
 				audio.NewTone(p.SampleRate, p.Channels, 220+float64(i)*55, 0.3),
 				audio.NewNoise(uint64(i+1), 0.05),
 			)
 		}
-		res.Series[n] = &stats.Series{Name: fmt.Sprintf("%d streams", n)}
-	}
-	// Tick by tick across the configurations, not one configuration after
-	// the other: a stream-second costs single milliseconds, so whatever
-	// else the machine is doing for a moment must land on every
-	// configuration alike for their ratio to mean anything.
-	buf := make([]int16, p.SampleRate*p.Channels) // one second
-	for tick := 0; tick < seconds; tick++ {
-		for c, n := range streamCounts {
+		series := &stats.Series{Name: fmt.Sprintf("%d streams", n)}
+		buf := make([]int16, p.SampleRate*p.Channels) // one second
+		for tick := 0; tick < seconds; tick++ {
 			start := time.Now()
-			for i, enc := range configs[c].encs {
-				configs[c].srcs[i].ReadSamples(buf)
+			for i := range encs {
+				srcs[i].ReadSamples(buf)
 				raw := audio.Encode(p, buf)
-				if _, err := enc.Encode(raw); err != nil {
+				if _, err := encs[i].Encode(raw); err != nil {
 					fmt.Fprintf(w, "  encode error: %v\n", err)
 					return res
 				}
 			}
 			cpu := float64(time.Since(start)) / float64(time.Second) * 100
-			res.Series[n].Add(time.Duration(tick)*time.Second, cpu)
+			series.Add(time.Duration(tick)*time.Second, cpu)
 		}
-	}
-	for _, n := range streamCounts {
-		res.MeanCPU[n] = res.Series[n].Mean()
+		res.Series[n] = series
+		res.MeanCPU[n] = series.Mean()
 	}
 
 	var list []*stats.Series

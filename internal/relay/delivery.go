@@ -67,20 +67,23 @@ const maxChannels = 256
 // channel is the sequence's account of one channel id.
 type channel struct {
 	passed uint64 // packets accepted so far: what a lessee of the channel is owed
-	last   uint64 // arrival index of the newest, or the head when the id was admitted
+	last   uint64 // arrival index of the newest, or the head when one was last admitted
 }
 
 // admit reports whether packets of ch are tracked, starting to if the
-// table has room. handlePacket calls it under r.mu; s.mu stays a leaf.
+// table has room. An admitted packet marks its channel as heard from
+// here on, not only once fanout has appended it: trimChannels decides
+// under s.mu, so a channel resuming from quiet cannot lose its stream
+// between its packet's admission and its append. handlePacket calls it
+// under r.mu; s.mu stays a leaf.
 func (s *sequence) admit(ch uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.chans[ch]; !ok {
-		if len(s.chans) >= maxChannels {
-			return false
-		}
-		s.chans[ch] = channel{last: s.head.Load()}
+	c, ok := s.chans[ch]
+	if !ok && len(s.chans) >= maxChannels {
+		return false
 	}
+	s.chans[ch] = channel{passed: c.passed, last: s.head.Load()}
 	return true
 }
 

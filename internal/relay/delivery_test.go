@@ -946,3 +946,117 @@ func TestChannelTableBounded(t *testing.T) {
 	})
 	sim.WaitIdle()
 }
+
+// TestQuietChannelResumes is the other half of the bounded channel
+// table: a channel nobody leases by id goes quiet, the sweep is about to
+// retire it, and its next packet arrives. From the moment that packet is
+// admitted the channel is heard from again — it keeps its account and
+// its stream, so the Data behind a Control always finds the transcoders
+// the Control taught — and the receive path never reads a stream the
+// sweep has meanwhile deleted. A wildcard ovl-low lessee keeps a tier
+// active throughout, so every Control is rewritten and every Data
+// transcoded.
+func TestQuietChannelResumes(t *testing.T) {
+	const carrier, quiet = uint32(1), uint32(9)
+	wildcard := &proto.Subscribe{Channel: 0, Profile: uint8(codec.ProfileOVLLow)}
+
+	// The interleaving by hand: admitted, then the sweep, then the rest
+	// of the receive path.
+	t.Run("admitted before the sweep", func(t *testing.T) {
+		sim, _, r := newTestRelay(t, Config{QueueLen: 8})
+		sim.Go("test", func() {
+			if !r.subscribe("10.0.0.2:5004", wildcard, time.Minute) {
+				t.Fatal("subscribe failed")
+			}
+			inject := func(data []byte) {
+				r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
+			}
+			var seq uint64
+			play := func(n int) { // the carrier pushes everything older out of the live window
+				for i := 0; i < n; i++ {
+					seq++
+					inject(dataPkt(t, carrier, 1, seq, 320))
+				}
+			}
+			inject(controlPkt(t, quiet, 1))
+			inject(dataPkt(t, quiet, 1, 1, 320))
+			inject(controlPkt(t, carrier, 1))
+			play(2 * r.cfg.QueueLen)
+			st := r.streams[quiet]
+			r.trimChannels() // a sweep passes: the channel has a whole one of silence behind it
+
+			if !r.seq.admit(quiet) {
+				t.Fatal("a tracked channel was refused")
+			}
+			r.trimChannels()
+			if c, ok := r.seq.chans[quiet]; !ok || c.passed != 2 || r.streams[quiet] != st {
+				t.Fatalf("a sweep between admission and append: account %+v (tracked %v), stream kept %v; want 2 passed and the same stream",
+					c, ok, r.streams[quiet] == st)
+			}
+			r.fanout(quiet, controlPkt(t, quiet, 1))
+			if c := r.seq.chans[quiet]; c.passed != 3 {
+				t.Errorf("%d packets accounted after the resumed one, want 3", c.passed)
+			}
+
+			// And it was about to go: left alone, the same silence retires it.
+			play(2 * r.cfg.QueueLen)
+			r.trimChannels()
+			r.trimChannels()
+			if _, ok := r.seq.chans[quiet]; ok || r.streams[quiet] != nil {
+				t.Error("the channel was never quiet: the case above proved nothing")
+			}
+			drain(r)
+		})
+		sim.WaitIdle()
+	})
+
+	// The same with nothing by hand: the relay's own sweep, as fast as
+	// it will run, beside a receive path that resumes the channel the
+	// moment the next sweep would retire it.
+	t.Run("under the sweep", func(t *testing.T) {
+		conn := newRecordConn()
+		r, err := New(vclock.System, conn, Config{Group: testGroup, QueueLen: 8, Shards: 1, SweepInterval: 20 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go r.Run()
+		defer r.Stop()
+		g := &deliveryRig{t: t, r: r, conn: conn, sent: make(map[uint32]int)}
+		g.join("10.0.0.2:5004", 0, 0, codec.ProfileOVLLow)
+		inject := func(data []byte) {
+			r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
+		}
+		carrierCtl, carrierData := controlPkt(t, carrier, 1), dataPkt(t, carrier, 1, 1, 320)
+		quietCtl, quietData := controlPkt(t, quiet, 1), dataPkt(t, quiet, 1, 1, 320)
+
+		// doomed: the next sweep retires the channel unless it is heard from.
+		doomed := func() bool {
+			s := &r.seq
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			c, ok := s.chans[quiet]
+			return !ok || s.quiet(c, s.swept, r.cfg.QueueLen)
+		}
+		// One injector, so nothing but the sweep runs beside the receive
+		// path and no carrier packet falls between a Control and its Data.
+		inject(carrierCtl)
+		resumed, deadline := 0, time.Now().Add(20*time.Second)
+		for ; resumed < 1000 && time.Now().Before(deadline); resumed++ {
+			for !doomed() && time.Now().Before(deadline) {
+				inject(carrierData)
+			}
+			inject(quietCtl)
+			inject(quietData)
+		}
+		if resumed < 100 {
+			t.Fatalf("the channel resumed only %d times", resumed)
+		}
+		g.settled()
+		// Every Data packet followed its channel's Control through the one
+		// receive path, so every one of them must have found transcoders.
+		if st := r.Stats(); st.TranscodeEncodes != st.UpstreamData || st.TranscodeErrors != 0 || st.UpstreamForeign != 0 {
+			t.Errorf("%d Data packets taken, %d transcoded (%d errors, %d refused): a resumed channel lost its stream",
+				st.UpstreamData, st.TranscodeEncodes, st.TranscodeErrors, st.UpstreamForeign)
+		}
+	})
+}

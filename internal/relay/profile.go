@@ -147,23 +147,17 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 		if err != nil {
 			return out
 		}
+		// The stream learnStream returns is the one read below:
+		// r.streams[ch] is the sweep's to delete (trimChannels).
 		r.txMu.Lock()
-		r.learnStream(ch, ctl)
-		r.txMu.Unlock()
-		if !active {
-			return out
-		}
+		defer r.txMu.Unlock()
+		st := r.learnStream(ch, ctl)
 		for p := codec.ProfileULaw; p.Valid(); p++ {
-			if !want[p] {
-				continue
+			// A tier the stream cannot carry falls back to source, and
+			// its Control stays the source's.
+			if want[p] && st.tx[p] != nil {
+				out[p] = tierControl(ctl, p)
 			}
-			r.txMu.Lock()
-			servable := r.streams[ch].tx[p] != nil
-			r.txMu.Unlock()
-			if !servable {
-				continue // tier falls back to source; Control stays the source's
-			}
-			out[p] = tierControl(ctl, p)
 		}
 	case proto.TypeData:
 		if !active {
