@@ -20,7 +20,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -33,19 +32,18 @@ import (
 )
 
 func main() {
-	var (
-		target = flag.String("target", "", "speaker management address (host:port)")
-		local  = flag.String("local", "0.0.0.0:0", "local bind address")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // flag package already printed the problem
+	}
 	log.SetPrefix("esctl: ")
 	log.SetFlags(0)
-	args := flag.Args()
+	args := o.args
 	if len(args) < 1 {
 		usage()
 	}
 
-	client, err := mgmt.NewClient(vclock.System, &lan.UDPNetwork{}, lan.Addr(*local))
+	client, err := mgmt.NewClient(vclock.System, &lan.UDPNetwork{}, lan.Addr(o.local))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,28 +52,28 @@ func main() {
 	verb := args[0]
 	switch verb {
 	case "get":
-		requireTarget(*target)
+		requireTarget(o.target)
 		requireArgs(args, 2)
-		v, err := client.Get(lan.Addr(*target), args[1])
+		v, err := client.Get(lan.Addr(o.target), args[1])
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(v)
 	case "set":
-		requireTarget(*target)
+		requireTarget(o.target)
 		requireArgs(args, 3)
-		v, err := client.Set(lan.Addr(*target), args[1], args[2])
+		v, err := client.Set(lan.Addr(o.target), args[1], args[2])
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(v)
 	case "walk":
-		requireTarget(*target)
+		requireTarget(o.target)
 		prefix := ""
 		if len(args) > 1 {
 			prefix = args[1]
 		}
-		pairs, err := client.Walk(lan.Addr(*target), prefix)
+		pairs, err := client.Walk(lan.Addr(o.target), prefix)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +89,7 @@ func main() {
 	case "ops":
 		// The ops plane speaks HTTP, not the MIB protocol: -target here
 		// is a daemon's -ops-addr. "trace" drains the packet trace ring.
-		requireTarget(*target)
+		requireTarget(o.target)
 		what := "metrics"
 		if len(args) > 1 {
 			what = args[1]
@@ -105,7 +103,7 @@ func main() {
 		if !ok {
 			usage()
 		}
-		resp, err := http.Get("http://" + *target + route)
+		resp, err := http.Get("http://" + o.target + route)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -27,10 +26,10 @@ type experiment struct {
 }
 
 func main() {
-	expFlag := flag.String("exp", "", "experiment to run (or 'all')")
-	listFlag := flag.Bool("list", false, "list experiments")
-	quickFlag := flag.Bool("quick", false, "reduced workloads (for smoke tests)")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // flag package already printed the problem
+	}
 
 	w := os.Stdout
 	exps := []experiment{
@@ -62,12 +61,17 @@ func main() {
 			}
 			experiments.E4RateLimiter(w, clip)
 		}},
-		{"sync", "E5 (§3.2): inter-speaker skew and epsilon sweep", func(q bool) {
+		{"sync", "E5 (§3.2): inter-speaker skew, epsilon sweep, and two drifting DACs", func(q bool) {
 			var eps []time.Duration
 			if q {
 				eps = []time.Duration{5 * time.Millisecond, 50 * time.Millisecond}
 			}
 			experiments.E5Sync(w, eps)
+			drift := 10 * time.Minute
+			if q {
+				drift = 2 * time.Minute
+			}
+			experiments.E5Drift(w, drift)
 		}},
 		{"bufsize", "E6 (§3.4): receive-buffer size vs. skipped audio", func(q bool) {
 			var bufs []int
@@ -170,25 +174,25 @@ func main() {
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].name < exps[j].name })
 
-	if *listFlag {
+	if o.list {
 		for _, e := range exps {
 			fmt.Printf("  %-12s %s\n", e.name, e.desc)
 		}
 		return
 	}
-	if *expFlag == "" {
+	if o.exp == "" {
 		fmt.Fprintln(os.Stderr, "usage: eslab -exp <name|all> [-quick]; eslab -list")
 		os.Exit(2)
 	}
 	ran := false
 	for _, e := range exps {
-		if *expFlag == "all" || *expFlag == e.name {
-			e.run(*quickFlag)
+		if o.exp == "all" || o.exp == e.name {
+			e.run(o.quick)
 			ran = true
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "eslab: unknown experiment %q (try -list)\n", *expFlag)
+		fmt.Fprintf(os.Stderr, "eslab: unknown experiment %q (try -list)\n", o.exp)
 		os.Exit(2)
 	}
 }

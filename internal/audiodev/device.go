@@ -87,6 +87,9 @@ type Device struct {
 	silentRun int
 	// data blocks fetched but not yet reported done by the driver
 	inFlight int
+	// when the block now playing ends on the low-level driver's own
+	// schedule; zero while this run has no such block (see PlayCursor)
+	playEnd time.Time
 }
 
 // NewDevice returns a closed device wired to clock and low-level driver.
@@ -229,6 +232,7 @@ func (d *Device) maybeTriggerLocked() {
 	}
 	d.triggered = true
 	d.silentRun = 0
+	d.playEnd = time.Time{}
 	d.stats.Triggers++
 	hw := d.hw
 	// TriggerOutput may spawn a task that immediately calls FetchBlock;
@@ -243,14 +247,19 @@ func (d *Device) maybeTriggerLocked() {
 
 // FetchBlock is called by the low-level driver to consume one block from
 // the ring. If the ring holds less than a block, the remainder is filled
-// with silence (counted as an underrun when mid-stream). The returned
-// status tells the driver whether to keep consuming.
-func (d *Device) FetchBlock(buf []byte) (int, FetchStatus) {
+// with silence (counted as an underrun when mid-stream). until is when
+// the block will have played out on the driver's own schedule — the
+// deadline of its next fetch, not a reading of the clock when its task
+// happened to wake — and feeds PlayCursor; a driver that keeps no
+// schedule passes the zero time. The returned status tells the driver
+// whether to keep consuming.
+func (d *Device) FetchBlock(buf []byte, until time.Time) (int, FetchStatus) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.open || !d.triggered {
 		return 0, FetchHalted
 	}
+	d.playEnd = until
 	n := d.ring.Read(buf)
 	if n > 0 {
 		d.notFull.Broadcast()
@@ -387,10 +396,27 @@ func (d *Device) Buffered() int {
 	return d.ring.Len()
 }
 
+// PlayCursor answers "when will a byte written now start playing": the
+// end of the block the driver is playing, plus the ring — what a sound
+// card's DMA position register (AUDIO_GETOOFFS) tells an application. It
+// is read off the driver's schedule, so it is exact where QueuedBytes
+// rounds up to a whole block, and it follows the DAC's own oscillator
+// instead of assuming the nominal rate (§3.2). ok is false while no
+// engine is running on a schedule: before the first fetch of a run, after
+// a halt, or under a driver that keeps none (the VAD).
+func (d *Device) PlayCursor() (at time.Time, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.open || !d.triggered || d.playEnd.IsZero() {
+		return time.Time{}, false
+	}
+	return d.playEnd.Add(d.params.Duration(d.ring.Len())), true
+}
+
 // QueuedBytes returns the bytes not yet played: the ring contents plus
 // anything fetched by the driver but not reported done. It upper-bounds
-// how far in the future a byte written now will play, which is what the
-// speaker's synchronization logic needs (§3.2).
+// how far in the future a byte written now will play; the speaker uses
+// it only before the engine's first fetch, when there is no cursor yet.
 func (d *Device) QueuedBytes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -6,4 +6,12 @@
 // and "interrupts" back). The paper's VAD is a low-level driver with no
 // hardware behind it, and every design problem in §3.3 falls out of this
 // contract — so we reproduce the contract itself.
+//
+// Time belongs to the low-level driver. SimHardware paces its blocks on
+// deadlines counted from its trigger (at its own SetSpeed ratio), hands
+// each fetch the moment the block will have played out, and the Device
+// turns that into a play cursor (PlayCursor): when a byte written now
+// will start playing, the question a sound card's DMA position register
+// answers. Whoever needs to know where playback is reads the cursor
+// instead of assuming the nominal rate.
 package audiodev

@@ -13,7 +13,7 @@ import (
 // the observable output of a SimHardware, consumed by tests, the skew
 // measurements (§3.2) and the auto-volume microphone model (§5.2).
 type PlayedBlock struct {
-	Time    time.Time    // when the block started playing
+	Time    time.Time    // the clock when the driver fetched the block
 	Params  audio.Params // format it was played in
 	Data    []byte       // raw audio bytes (silence-padded if underrun)
 	Silence bool         // true if the block is pure inserted silence
@@ -21,10 +21,12 @@ type PlayedBlock struct {
 
 // SimHardware is a simulated DAC: an audio(9) low-level driver that
 // consumes one block per block-period of clock time and reports each
-// block to an optional sink. It reproduces the two properties the paper
-// leans on: hardware inherently rate-limits the producer (§3.1), and the
+// block to an optional sink. It reproduces the properties the paper
+// leans on: hardware inherently rate-limits the producer (§3.1), the
 // consumption engine runs autonomously after a single TriggerOutput
-// (§3.3).
+// (§3.3), and it keeps its own time — blocks fall on deadlines counted
+// from the trigger at the DAC's own rate (SetSpeed), whatever the
+// scheduler does to the task that fetches them (§3.2).
 type SimHardware struct {
 	clock vclock.Clock
 
@@ -109,6 +111,13 @@ func (h *SimHardware) TriggerOutput(dev *Device) error {
 	}
 	h.clock.Go("simdac", func() {
 		buf := make([]byte, blockSize)
+		// next is the deadline of the coming fetch on the DAC's own
+		// clock. Every deadline is counted from the trigger, not from the
+		// previous wake-up, so the sink's run time and a sleep's overshoot
+		// delay one fetch and are absorbed by the next sleep; paced by a
+		// relative sleep they would add up, and the DAC would run slow by
+		// their sum.
+		next := h.clock.Now()
 		for {
 			h.mu.Lock()
 			stale := gen != h.gen || !h.open
@@ -117,21 +126,29 @@ func (h *SimHardware) TriggerOutput(dev *Device) error {
 				dev.OutputStopped()
 				return
 			}
-			n, st := dev.FetchBlock(buf)
+			now := h.clock.Now()
+			if now.Sub(next) > DefaultRingBlocks*blockDur {
+				// Stalled for longer than the ring holds: catching up
+				// would fetch the whole ring back to back. This block is
+				// late; the schedule restarts from it.
+				next = now
+			}
+			next = next.Add(blockDur) // this block plays until then
+			n, st := dev.FetchBlock(buf, next)
 			if st == FetchHalted {
 				dev.OutputStopped()
 				return
 			}
 			if sink != nil {
 				blk := PlayedBlock{
-					Time:    h.clock.Now(),
+					Time:    now,
 					Params:  params,
 					Data:    append([]byte(nil), buf[:n]...),
 					Silence: st == FetchSilence,
 				}
 				sink(blk)
 			}
-			h.clock.Sleep(blockDur)
+			h.clock.Sleep(next.Sub(h.clock.Now()))
 			if st == FetchData {
 				dev.BlockDone()
 			}

@@ -222,6 +222,60 @@ func TestEndToEndLateJoinerConverges(t *testing.T) {
 	}
 }
 
+func TestSkewMeterIgnoresBlocksOpeningOnSilence(t *testing.T) {
+	// A DAC 2% fast runs ε ahead after ε/2% seconds and is put back by
+	// one gap-fill: ε of silence in the middle of the ramp. With ε longer
+	// than a hardware block (50 ms), one block is certain to open inside
+	// the silence. That block has no position; recorded as position 0 it
+	// would read as a skew of up to half a ramp (227 ms). The worst true
+	// skew is the gap's own length, plus the 2% of its ~200 ms queue by
+	// which the fast speaker misjudges its DAC (4 ms).
+	const eps = 60 * time.Millisecond
+	sys := NewSim(lan.SegmentConfig{Latency: 100 * time.Microsecond})
+	ch, _ := sys.AddChannel(rebroadcast.Config{
+		ID: 1, Name: "gap", Group: "239.72.1.1:5004", Codec: "raw",
+	}, vad.Config{})
+	meter := NewSkewMeter()
+	sps := map[string]*speaker.Speaker{}
+	for name, speed := range map[string]float64{"nominal": 1, "fast": 1.02} {
+		sp, err := sys.AddSpeaker(speaker.Config{Name: name, Group: "239.72.1.1:5004",
+			DACSpeed: speed, Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter.Attach(name, sp)
+		sps[name] = sp
+	}
+	p := audio.Params{SampleRate: 44100, Channels: 1, Encoding: audio.EncodingSLinear16LE}
+	start := sys.Clock.Now()
+	const clip = 5 * time.Second
+	sys.Clock.Go("player", func() {
+		ch.Play(p, &PositionSource{Channels: 1}, clip)
+		sys.Clock.Sleep(clip + 2*time.Second)
+		sys.Shutdown()
+	})
+	var settled int64 // gap-fills while the stream was starting up
+	sys.Clock.Go("settled", func() {
+		sys.Clock.Sleep(time.Second)
+		settled = sps["fast"].Stats().GapFills
+	})
+	sys.Sim.WaitIdle()
+
+	if g := sps["fast"].Stats().GapFills - settled; g != 1 {
+		t.Fatalf("fast speaker gap-filled %d times after the first second, want exactly 1", g)
+	}
+	gap := float64(eps / time.Millisecond)
+	skews := meter.Skew("fast", "nominal", SampleTimes(start.Add(time.Second), start.Add(clip), 4000))
+	if len(skews) < 3000 {
+		t.Fatalf("only %d skew samples", len(skews))
+	}
+	for _, ms := range skews {
+		if ms < -1 || ms > gap+5 {
+			t.Fatalf("skew sample %.1f ms, beyond the gap's %v ms", ms, gap)
+		}
+	}
+}
+
 func TestEndToEndNoSyncDrifts(t *testing.T) {
 	// Ablation: with NoSync, a late joiner plays immediately on arrival
 	// and stays offset from the early speaker by far more than epsilon.

@@ -50,10 +50,13 @@ func (p *PositionSource) ReadSamples(out []int16) (int, error) {
 // playRecord is one data block as played by a speaker's DAC.
 type playRecord struct {
 	at     time.Time
-	pos    int64 // stream frame index at block start (mod posWrap)
+	pos    int64 // stream frame index at block start (mod posWrap), or noPos
 	frames int
 	rate   int
 }
+
+// noPos marks a played block that does not open on the position ramp.
+const noPos = -1
 
 // SkewMeter records DAC output of multiple speakers playing the same
 // position-encoded stream and computes pairwise playback skew.
@@ -74,14 +77,21 @@ func (m *SkewMeter) Attach(name string, sp *speaker.Speaker) {
 			return
 		}
 		samples := audio.Decode(b.Params, b.Data)
-		if len(samples) == 0 {
+		ch := b.Params.Channels
+		if len(samples) < ch {
 			return
 		}
 		rec := playRecord{
 			at:     b.Time,
 			pos:    int64(samples[0]),
-			frames: len(samples) / b.Params.Channels,
+			frames: len(samples) / ch,
 			rate:   b.Params.SampleRate,
+		}
+		// Only a block that opens on the ramp has a position: one that
+		// opens on alignment or gap-fill silence would read as position 0
+		// and a skew of up to half a ramp.
+		if len(samples) < 2*ch || int64(samples[ch]) != (rec.pos+1)%posWrap {
+			rec.pos = noPos
 		}
 		m.mu.Lock()
 		m.records[name] = append(m.records[name], rec)
@@ -103,7 +113,7 @@ func (m *SkewMeter) positionAt(name string, t time.Time) (float64, bool) {
 	r := recs[i-1]
 	off := t.Sub(r.at)
 	blockDur := time.Duration(r.frames) * time.Second / time.Duration(r.rate)
-	if off < 0 || off > blockDur {
+	if r.pos == noPos || off < 0 || off > blockDur {
 		return 0, false
 	}
 	frames := float64(off) * float64(r.rate) / float64(time.Second)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/relay"
+	"repro/internal/speaker"
 )
 
 // The experiment tests assert the paper's qualitative shapes — who wins,
@@ -133,6 +134,30 @@ func TestE5Shape(t *testing.T) {
 	// Without timestamps, late joiners sit far off.
 	if noSync.MaxSkewMs < 50 {
 		t.Fatalf("no-sync max skew %.1f ms, expected large offset", noSync.MaxSkewMs)
+	}
+}
+
+func TestE5DriftingDACs(t *testing.T) {
+	// §3.2 as a property: ten minutes on two DACs 500 ppm fast and slow
+	// (600 ms apart by the end if nobody looked). Each speaker stays
+	// within ±ε of the producer's timeline, so the pair within 2ε.
+	res := e5DriftRun(10 * time.Minute)
+	if res.Samples < 5000 {
+		t.Fatalf("only %d skew samples", res.Samples)
+	}
+	eps := float64(speaker.DefaultEpsilon / time.Millisecond)
+	if res.MaxSkewMs > 2*eps+1 {
+		t.Fatalf("max skew %.1f ms, want within 2ε + 1 = %.0f ms", res.MaxSkewMs, 2*eps+1)
+	}
+	// ε ÷ 500 ppm = one correction every 20 s, each of its own kind.
+	if res.Fast.GapFills == 0 {
+		t.Fatalf("the fast DAC was never put back: %+v", res.Fast)
+	}
+	if res.Slow.DroppedLate == 0 {
+		t.Fatalf("the slow DAC never caught up: %+v", res.Slow)
+	}
+	if res.Fast.Underruns > 1 || res.Slow.Underruns > 1 {
+		t.Fatalf("underruns: fast %d, slow %d", res.Fast.Underruns, res.Slow.Underruns)
 	}
 }
 

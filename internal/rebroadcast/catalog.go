@@ -119,6 +119,7 @@ func (c *Catalog) Announcements() int64 {
 
 // Run announces periodically until Stop. Spawn it via clock.Go.
 func (c *Catalog) Run() {
+	next := c.clock.Now()
 	for {
 		c.mu.Lock()
 		if c.stop {
@@ -169,7 +170,7 @@ func (c *Catalog) Run() {
 				c.conn.Send(c.group, pkt)
 			}
 		}
-		c.clock.Sleep(c.interval)
+		next = sleepToNext(c.clock, next, c.interval)
 	}
 }
 

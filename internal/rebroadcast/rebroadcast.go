@@ -155,6 +155,7 @@ func (r *Rebroadcaster) producerNow() int64 { return int64(r.clock.Since(r.start
 func (r *Rebroadcaster) Run(master *vad.Master) {
 	stopCtl := make(chan struct{})
 	r.clock.Go("rebroadcast-control", func() {
+		next := r.clock.Now()
 		for {
 			select {
 			case <-stopCtl:
@@ -162,7 +163,7 @@ func (r *Rebroadcaster) Run(master *vad.Master) {
 			default:
 			}
 			r.sendControl()
-			r.clock.Sleep(r.cfg.ControlInterval)
+			next = sleepToNext(r.clock, next, r.cfg.ControlInterval)
 		}
 	})
 	defer close(stopCtl)
@@ -186,6 +187,21 @@ func (r *Rebroadcaster) Run(master *vad.Master) {
 		}
 		r.handleData(blk)
 	}
+}
+
+// sleepToNext paces a periodic task: it sleeps until interval after the
+// previous deadline and returns the new one. Deadlines counted from the
+// first turn keep the cadence from stretching by each turn's run time
+// and each sleep's overshoot, as a relative Sleep(interval) would; a
+// deadline missed outright restarts the count instead of bursting.
+func sleepToNext(clock vclock.Clock, prev time.Time, interval time.Duration) time.Time {
+	next := prev.Add(interval)
+	now := clock.Now()
+	if next.Before(now) {
+		next = now
+	}
+	clock.Sleep(next.Sub(now))
+	return next
 }
 
 // Stop makes Run return after the current block.

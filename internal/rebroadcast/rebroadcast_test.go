@@ -353,3 +353,47 @@ func TestCatalogAnnouncesRelays(t *testing.T) {
 		t.Fatalf("relay removal not announced: %+v", last.Relays)
 	}
 }
+
+// lateClock is a simulated clock whose sleeps overshoot by over.
+type lateClock struct {
+	*vclock.Sim
+	over time.Duration
+}
+
+func (c lateClock) Sleep(d time.Duration) {
+	if d > 0 {
+		c.Sim.Sleep(d + c.over)
+	}
+}
+
+func TestSleepToNextKeepsCadence(t *testing.T) {
+	// 100 turns of a 1 s task whose sleeps run 4 ms over and whose work
+	// takes 2 ms: the last turn starts 100 s + one overshoot after the
+	// first, not 100 × 1.006 s. A turn that overruns the interval outright
+	// is followed at once, and the count restarts there.
+	const interval, over, work = time.Second, 4 * time.Millisecond, 2 * time.Millisecond
+	sim := vclock.NewSim(time.Time{})
+	clock := lateClock{sim, over}
+	var turns []time.Time
+	sim.Go("task", func() {
+		next := clock.Now()
+		for i := 0; i <= 100; i++ {
+			turns = append(turns, clock.Now())
+			sim.Sleep(work)
+			if i == 50 {
+				sim.Sleep(3 * interval)
+			}
+			next = sleepToNext(clock, next, interval)
+		}
+	})
+	sim.WaitIdle()
+	if span := turns[50].Sub(turns[0]); span != 50*interval+over {
+		t.Fatalf("50 turns spanned %v, want %v", span, 50*interval+over)
+	}
+	if gap := turns[51].Sub(turns[50]); gap != work+3*interval {
+		t.Fatalf("turn after the overrun came %v later, want %v", gap, work+3*interval)
+	}
+	if span := turns[100].Sub(turns[51]); span != 49*interval+over {
+		t.Fatalf("49 turns after the overrun spanned %v, want %v", span, 49*interval+over)
+	}
+}

@@ -98,12 +98,12 @@ type Stats struct {
 	DataPackets      int64 `mib:"es.stats.data" help:"data packets accepted"`
 	DroppedNoConfig  int64 `mib:"es.stats.droppedNoConfig" help:"data dropped before the first control packet"`
 	DroppedEpoch     int64 `mib:"es.stats.droppedEpoch" help:"data dropped for a stale epoch after reconfiguration"`
-	DroppedLate      int64 `mib:"es.stats.droppedLate" help:"batches discarded by the sync logic as too late"`
+	DroppedLate      int64 `mib:"es.stats.droppedLate" help:"batches discarded by the sync logic as too late (lateness, or a DAC that fell behind)"`
 	DroppedMalformed int64 `mib:"es.stats.droppedMalformed" help:"unparseable packets dropped"`
 	DroppedAuth      int64 `mib:"es.stats.droppedAuth" help:"packets dropped by stream verification"`
 	BytesPlayed      int64 `mib:"es.stats.played" help:"decoded bytes written to the audio device"`
 	SleepsToSync     int64 `mib:"es.stats.sleepsToSync" help:"fresh-start alignment sleeps"`
-	GapFills         int64 `mib:"es.stats.gapFills" help:"silence insertions covering lost content"`
+	GapFills         int64 `mib:"es.stats.gapFills" help:"silence insertions covering lost content or a DAC that ran ahead"`
 	Tunes            int64 `mib:"es.stats.tunes" help:"channel switches"`
 	RelaySubscribes  int64 `mib:"es.stats.relaySubscribes" help:"subscribe/refresh packets sent to a relay"`
 	RelaySubAcks     int64 `mib:"es.stats.relaySubAcks" help:"lease acknowledgements accepted"`
@@ -134,11 +134,6 @@ type Speaker struct {
 	// accumulation stage (§3.4)
 	pend       []byte
 	pendPlayAt int64
-	// tail is the local time when the last admitted byte finishes
-	// playing. Continuity-based scheduling survives blocking writes and
-	// ring-size quantization where an instantaneous queue-depth estimate
-	// does not.
-	tail time.Time
 	// software volume
 	volume  float64
 	ambient float64 // ambient noise RMS heard by the mic model (§5.2)
@@ -328,7 +323,6 @@ func (s *Speaker) Tune(group lan.Addr) error {
 	s.haveCtl = false
 	s.dec = nil
 	s.pend = nil
-	s.tail = time.Time{}
 	s.stats.Tunes++
 	s.mu.Unlock()
 	s.dev.Flush()
@@ -489,7 +483,6 @@ func (s *Speaker) handleControl(data []byte, recvAt time.Time) {
 	s.mu.Lock()
 	s.dec = dec
 	s.pend = nil
-	s.tail = time.Time{}
 	s.mu.Unlock()
 }
 
@@ -562,24 +555,22 @@ func (s *Speaker) processPending() {
 	if !s.cfg.NoSync {
 		now := s.clock.Now()
 		target := baseLocal.Add(time.Duration(playAt - baseProducer))
-		fresh := !s.dev.Playing() && s.dev.Buffered() == 0
 
-		// Where would this batch start playing? While the stream runs
-		// continuously, exactly when the previously admitted content
-		// ends (s.tail) — an estimate that survives blocking writes and
-		// ring quantization. On a fresh start, nothing is queued.
-		s.mu.Lock()
-		startPlay := s.tail
-		s.mu.Unlock()
-		if fresh || startPlay.IsZero() || startPlay.Before(now) {
-			startPlay = now.Add(params.Duration(s.dev.QueuedBytes()))
-			fresh = fresh || s.dev.QueuedBytes() == 0
+		// Where would this batch start playing? The device's play cursor
+		// says: it is read off the DAC's own schedule, so a DAC whose
+		// oscillator runs fast or slow shows up here as a growing error
+		// and is corrected below like any other. Only before the engine's
+		// first fetch is there no cursor, and the batch follows whatever
+		// is queued; with nothing queued this is a fresh start.
+		startPlay, playing := s.dev.PlayCursor()
+		fresh := false
+		if !playing {
+			queued := s.dev.QueuedBytes()
+			startPlay = now.Add(params.Duration(queued))
+			fresh = queued == 0
 		}
 		diff := startPlay.Sub(target)
-		// One hardware block of hysteresis on top of epsilon: the DAC
-		// quantizes everything by a block anyway.
-		lateBound := s.cfg.Epsilon + params.Duration(s.dev.BlockSize())
-		if diff > lateBound {
+		if diff > s.cfg.Epsilon {
 			// Too late to be worth playing: discard up to the wall
 			// clock (§3.2).
 			s.mu.Lock()
@@ -607,12 +598,12 @@ func (s *Speaker) processPending() {
 				s.mu.Unlock()
 				s.clock.Sleep(d)
 			}
-			startPlay = target
 		case diff < -s.cfg.Epsilon:
-			// The batch would play early: content between tail and
-			// target is missing (packet loss, a producer pause). Fill
-			// the hole with silence so everything after it stays on
-			// schedule, bounding pathological gaps.
+			// The batch would play early: content between the cursor and
+			// the target is missing (packet loss, a producer pause) or
+			// the DAC has run ahead of the producer. Fill the hole with
+			// silence so everything after it stays on schedule, bounding
+			// pathological gaps.
 			gap := -diff
 			if gap > 2*time.Second {
 				gap = 2 * time.Second
@@ -624,11 +615,7 @@ func (s *Speaker) processPending() {
 				s.stats.GapFills++
 				s.mu.Unlock()
 			}
-			startPlay = startPlay.Add(params.Duration(len(lead)))
 		}
-		s.mu.Lock()
-		s.tail = startPlay.Add(params.Duration(len(raw)))
-		s.mu.Unlock()
 	}
 
 	raw = s.applyVolume(params, raw)

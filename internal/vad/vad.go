@@ -145,7 +145,7 @@ func (d *driver) TriggerOutput(dev *audiodev.Device) error {
 		// a DMA engine and never calls us again. Consume one block and
 		// silently do nothing more; the ring fills and writers stall.
 		buf := make([]byte, dev.BlockSize())
-		n, st := dev.FetchBlock(buf)
+		n, st := dev.FetchBlock(buf, time.Time{})
 		if st == audiodev.FetchData {
 			d.forward(params, buf[:n], send)
 		}
