@@ -26,7 +26,6 @@ type options struct {
 	maxLease time.Duration
 	batch    int
 	flush    time.Duration
-	shardSk  bool
 	auth     string
 	keyFile  string
 	identity uint
@@ -68,7 +67,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.maxLease, "max-lease", relay.DefaultMaxLease, "longest grantable lease")
 	fs.IntVar(&o.batch, "batch", relay.DefaultBatch, "fan-out batch size in datagrams (1 = unbatched)")
 	fs.DurationVar(&o.flush, "flush", relay.DefaultFlushInterval, "how long a batch of replayed (-dvr) packets only may wait to fill; live packets are never held")
-	fs.BoolVar(&o.shardSk, "shard-sockets", false, "per-shard ephemeral send sockets (higher throughput, but data no longer originates from -listen: breaks NATed subscribers)")
 	fs.StringVar(&o.auth, "auth", "none", "control-plane auth scheme: none, hmac, or ident (per-subscriber credentials) with -key-file (§5.1; forged subscribes are dropped silently)")
 	fs.StringVar(&o.keyFile, "key-file", "", "file holding the control-plane key: the shared key (-auth hmac) or the chain master key (-auth ident)")
 	fs.UintVar(&o.identity, "identity", 0, "this relay's subscriber identity for its upstream lease (with -auth ident and -upstream; credentials derive from the master key)")

@@ -10,10 +10,10 @@
 // of up to -batch and written with one sendmmsg call (on Linux). A
 // partial batch goes out the moment its shard has nothing more to send;
 // only a batch of replayed (-dvr) packets waits, -flush at the longest.
-// -shard-sockets
-// additionally gives every shard its own send socket (data then comes
-// from ephemeral ports — LAN/routed deployments only, it breaks NATed
-// subscribers). -gso upgrades the batch write to UDP_SEGMENT
+// The shards write to the -listen socket in parallel, so every datagram
+// the relay sends — acks and data alike — leaves from -listen, the
+// address a NAT or stateful firewall saw the subscriber's Subscribe go
+// to. -gso upgrades the batch write to UDP_SEGMENT
 // segmentation offload where the kernel supports it, and -ladder turns
 // on the adaptive quality ladder: subscribers whose queues drop packets
 // are transcoded down the codec profile tiers (source, ulaw, ovl-high,
@@ -172,17 +172,7 @@ func main() {
 	}
 	defer conn.Close()
 
-	cfg := o.relayConfig(auth, upstreamAuth, sourceHops)
-	if o.shardSk {
-		// Per-shard send sockets: each shard batches through its own
-		// ephemeral-port socket. Data then comes from those ports, not
-		// from -listen, so a NAT/stateful-firewall pinhole opened by the
-		// subscriber's Subscribe will not match — TURN keeps relayed
-		// data on the allocation address for the same reason. Off by
-		// default; batching via the shared socket still uses sendmmsg.
-		cfg.Network = net
-	}
-	r, err := relay.New(clock, conn, cfg)
+	r, err := relay.New(clock, conn, o.relayConfig(auth, upstreamAuth, sourceHops))
 	if err != nil {
 		log.Fatal(err)
 	}

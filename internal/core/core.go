@@ -194,9 +194,6 @@ func (s *System) AddRelay(cfg relay.Config) (*relay.Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Network == nil {
-		cfg.Network = s.Net // per-shard send sockets for the fan-out path
-	}
 	r, err := relay.New(s.Clock, conn, cfg)
 	if err != nil {
 		conn.Close()

@@ -61,7 +61,6 @@ func e12Run(n, packets int) E12Row {
 	}
 	r, err := relay.New(sim, rconn, relay.Config{
 		Group: groupA, Channel: 1,
-		Network:        seg, // per-shard send sockets
 		MaxSubscribers: n,
 		QueueLen:       2 * packets, // ordering audit, not a drop test
 	})

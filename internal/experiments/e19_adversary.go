@@ -89,7 +89,6 @@ func e19Run(clip time.Duration) E19Result {
 		Channel:      1,
 		Auth:         ring.Relay(),
 		UpstreamAuth: ring.SignerAt(100, string(r2Addr), 1),
-		Network:      sys.Net,
 		DVR:          true, // pause/resume is part of the attacked surface
 	})
 	if err != nil {

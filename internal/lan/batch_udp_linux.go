@@ -4,9 +4,7 @@ package lan
 
 import (
 	"fmt"
-	"net"
 	"runtime"
-	"strconv"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -46,28 +44,6 @@ func (b *mmsgBuffers) grow(n int) {
 	b.hdrs = b.hdrs[:n]
 	b.iovs = b.iovs[:n]
 	b.sas = b.sas[:n]
-}
-
-// sockaddrInet4 fills sa from a numeric "ip:port" address.
-func sockaddrInet4(a Addr, sa *syscall.RawSockaddrInet4) error {
-	host, portStr, err := net.SplitHostPort(string(a))
-	if err != nil {
-		return fmt.Errorf("lan: resolving %q: %w", a, err)
-	}
-	ip := net.ParseIP(host)
-	ip4 := ip.To4()
-	if ip4 == nil {
-		return fmt.Errorf("lan: %q is not an IPv4 address", a)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil || port <= 0 || port > 65535 {
-		return fmt.Errorf("lan: bad port in %q", a)
-	}
-	sa.Family = syscall.AF_INET
-	// sin_port is in network byte order.
-	sa.Port = uint16(port>>8) | uint16(port&0xff)<<8
-	copy(sa.Addr[:], ip4)
-	return nil
 }
 
 // WriteBatch implements BatchWriter with sendmmsg. Datagrams are
@@ -291,34 +267,67 @@ func (c *udpConn) writeBatchGSO(batch []Datagram) (int, error) {
 	return sent, err
 }
 
+// mmsgSend is one sendmmsg call's state. It is recycled through
+// sendPool with its two callbacks bound once, so handing the call to
+// the RawConn allocates nothing.
+type mmsgSend struct {
+	hdrs  []mmsghdr
+	n     uintptr
+	errno syscall.Errno
+	send  func(fd uintptr)      // s.call, for RawConn.Control
+	retry func(fd uintptr) bool // s.callUntilRoom, for RawConn.Write
+}
+
+var sendPool = sync.Pool{New: func() any {
+	s := new(mmsgSend)
+	s.send, s.retry = s.call, s.callUntilRoom
+	return s
+}}
+
+func (s *mmsgSend) call(fd uintptr) {
+	s.n, _, s.errno = syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(s.hdrs)),
+		syscall.MSG_NOSIGNAL|syscall.MSG_DONTWAIT, 0, 0)
+}
+
+// callUntilRoom is call for RawConn.Write: returning false on EAGAIN
+// re-arms the write poller and retries once the socket has room.
+func (s *mmsgSend) callUntilRoom(fd uintptr) bool {
+	s.call(fd)
+	return s.errno != syscall.EAGAIN
+}
+
 // writeMsgs pushes the prepared headers through sendmmsg, retrying on
-// partial sends and waiting out EAGAIN via the runtime poller.
+// partial sends. It sends inside RawConn.Control, which keeps the
+// descriptor open by reference count (a concurrent Close cannot reuse
+// it mid-call) but takes no lock, so any number of goroutines send on
+// one conn at once — Linux's unconnected, uncorked UDP send path takes
+// no socket lock either. RawConn.Write would hold the descriptor's
+// write lock across the syscall and run them one at a time; only a
+// full send buffer (EAGAIN) goes that way, to wait on the runtime
+// poller for room. Per-destination order is the caller's: one
+// goroutine's datagrams leave in slice order.
 func (c *udpConn) writeMsgs(hdrs []mmsghdr) (int, error) {
-	if len(hdrs) == 0 {
-		return 0, nil
-	}
-	rc, err := c.sock.SyscallConn()
-	if err != nil {
-		return 0, err
-	}
+	s := sendPool.Get().(*mmsgSend)
+	defer func() {
+		s.hdrs = nil
+		sendPool.Put(s)
+	}()
 	sent := 0
 	for sent < len(hdrs) {
-		var n uintptr
-		var errno syscall.Errno
-		werr := rc.Write(func(fd uintptr) bool {
-			n, _, errno = syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent),
-				syscall.MSG_NOSIGNAL, 0, 0)
-			// false re-arms the write poller and retries when ready.
-			return errno != syscall.EAGAIN
-		})
-		if werr != nil {
-			return sent, werr
+		s.hdrs = hdrs[sent:]
+		if err := c.rc.Control(s.send); err != nil {
+			return sent, err
 		}
-		if errno != 0 {
-			return sent, errno
+		if s.errno == syscall.EAGAIN {
+			if err := c.rc.Write(s.retry); err != nil {
+				return sent, err
+			}
 		}
-		sent += int(n)
+		if s.errno != 0 {
+			return sent, s.errno
+		}
+		sent += int(s.n)
 	}
 	return sent, nil
 }

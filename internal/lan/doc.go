@@ -17,4 +17,13 @@
 // state does not allocate. Batches have prefix semantics (datagrams
 // before the first error were sent) and never reorder datagrams bound
 // for the same destination.
+//
+// WriteBatch may be called from any number of goroutines on one Conn at
+// once. On the UDP backend the concurrent calls run in parallel: the
+// sendmmsg call holds the descriptor open but takes no lock, so a
+// relay's shard workers all send from its one listen address without
+// queueing behind each other. Order is kept per call, not across calls:
+// a caller that needs a destination's datagrams in order sends them all
+// from one goroutine (a relay does — each subscriber lives in exactly
+// one shard).
 package lan

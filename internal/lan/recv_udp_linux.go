@@ -3,7 +3,6 @@
 package lan
 
 import (
-	"fmt"
 	"net"
 	"syscall"
 	"time"
@@ -91,11 +90,4 @@ func (c *udpConn) readLoopBatched(sock *net.UDPConn, to Addr) bool {
 			}
 		}
 	}
-}
-
-// sockaddrToAddr renders a raw IPv4 sockaddr as the "ip:port" form the
-// rest of the package uses.
-func sockaddrToAddr(sa *syscall.RawSockaddrInet4) Addr {
-	port := int(sa.Port&0xff)<<8 | int(sa.Port>>8) // sin_port is network order
-	return Addr(fmt.Sprintf("%d.%d.%d.%d:%d", sa.Addr[0], sa.Addr[1], sa.Addr[2], sa.Addr[3], port))
 }

@@ -94,8 +94,8 @@ func NewSegment(clock vclock.Clock, cfg SegmentConfig) *Segment {
 var _ Network = (*Segment)(nil)
 
 // Attach implements Network. A port of 0 binds an unused ephemeral
-// port, mirroring a real UDP bind to ":0" — per-shard send sockets use
-// this so they never collide with a configured listener.
+// port, mirroring a real UDP bind to ":0": a client-side socket gets an
+// address that never collides with a configured listener.
 func (s *Segment) Attach(local Addr) (Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

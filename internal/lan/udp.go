@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -30,10 +31,16 @@ func (n *UDPNetwork) Attach(local Addr) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lan: binding %q: %w", local, err)
 	}
+	rc, err := sock.SyscallConn()
+	if err != nil {
+		sock.Close()
+		return nil, fmt.Errorf("lan: binding %q: %w", local, err)
+	}
 	return &udpConn{
 		net:   n,
 		local: Addr(sock.LocalAddr().String()),
 		sock:  sock,
+		rc:    rc,
 		joins: make(map[Addr]*net.UDPConn),
 		done:  make(chan struct{}),
 	}, nil
@@ -43,6 +50,8 @@ type udpConn struct {
 	net   *UDPNetwork
 	local Addr
 	sock  *net.UDPConn
+	// rc is sock's raw descriptor, taken once: SyscallConn allocates.
+	rc syscall.RawConn
 
 	// gso, when set, lets the Linux WriteBatch backend coalesce
 	// same-destination runs into UDP_SEGMENT sends; it clears itself

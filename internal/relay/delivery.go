@@ -434,9 +434,6 @@ const (
 // instead of sending each subscriber's packet on its own.
 func (r *Relay) shardWorker(sh *shard) {
 	defer func() {
-		if sh.ownConn {
-			sh.conn.Close()
-		}
 		r.mu.Lock()
 		r.workersDone++
 		r.workersIdle.Broadcast()
@@ -514,7 +511,7 @@ func (g byDest) Swap(i, j int) {
 	g.owners[i], g.owners[j] = g.owners[j], g.owners[i]
 }
 
-// flush sends one gathered batch through the shard's socket and settles
+// flush sends one gathered batch through the relay's socket and settles
 // the accounting. WriteBatch has prefix semantics — datagrams before the
 // first error were handed to the substrate, the rest were not — so on a
 // partial send the failing datagram is skipped and the remainder
@@ -528,7 +525,7 @@ func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigg
 	}
 	var sent, errs int64
 	for len(dgs) > 0 {
-		n, err := lan.WriteBatch(sh.conn, dgs)
+		n, err := lan.WriteBatch(r.conn, dgs)
 		if n > len(dgs) {
 			n = len(dgs) // defensive: prefix contract
 		}

@@ -24,11 +24,13 @@
 // (internal/dvr): a time-shifted join places the cursor in the past, a
 // pause stops it, and both are fed at a bounded burst rate until the
 // cursor reaches the head again. Subscribers hash onto shards, each
-// with its own worker task, lock, and (when a Network is configured)
-// send socket; the workers walk their cursors round-robin into
-// lan.Datagram batches and flush them with one WriteBatch call
-// (sendmmsg on Linux) when the batch fills or the moment a pass takes
-// nothing more — a live packet never waits on a timer. Only a batch of
+// with its own worker task and lock; the workers walk their cursors
+// round-robin into lan.Datagram batches and flush them with one
+// WriteBatch call (sendmmsg on Linux) when the batch fills or the
+// moment a pass takes nothing more — a live packet never waits on a
+// timer. Every worker writes to the relay's one socket, in parallel
+// (lan.WriteBatch takes no lock there), so all data leaves from the
+// address subscribers leased at. Only a batch of
 // replayed packets whose subscribers are out of tokens is held, for the
 // flush interval at most.
 //

@@ -4,7 +4,6 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,11 +126,6 @@ type Config struct {
 	// FlushInterval overrides DefaultFlushInterval: the longest a
 	// replay-only batch waits. Live packets never wait on it.
 	FlushInterval time.Duration
-	// Network, when set, gives every shard its own send socket attached
-	// at an ephemeral port, so shard workers never serialize on one
-	// socket's lock and each can batch independently. When nil all
-	// shards send through the relay's main connection.
-	Network lan.Network
 	// Auth, when set, authenticates the relay control plane (§5.1
 	// applied to the one path that creates forwarding state): every
 	// inbound control request — Subscribe or Pause — must verify before
@@ -205,8 +199,8 @@ type Config struct {
 	// LadderDownDrops overrides DefaultLadderDownDrops: the per-sweep
 	// queue-drop delta that triggers a downgrade.
 	LadderDownDrops int
-	// GSO enables UDP_SEGMENT coalescing on the shard send sockets
-	// (where the backend supports it): the flush sorts each batch by
+	// GSO enables UDP_SEGMENT coalescing on the relay's socket (where
+	// the backend supports it): the flush sorts each batch by
 	// destination, so a subscriber owed several same-size packets costs
 	// one kernel send instead of several.
 	GSO bool
@@ -427,11 +421,10 @@ type subscriber struct {
 }
 
 // shard is one slice of the subscriber table with its own fan-out
-// worker and, when Config.Network is set, its own send socket.
+// worker. Every worker sends through the relay's one connection, so all
+// data leaves from the address subscribers leased from.
 type shard struct {
-	index   int      // position in Relay.shards
-	conn    lan.Conn // send path: shard-owned socket or the shared conn
-	ownConn bool     // conn was attached by us and must be closed on Stop
+	index int // position in Relay.shards
 
 	mu      sync.Mutex
 	work    vclock.Cond // signaled when the arrival sequence grows or a replay is armed
@@ -481,11 +474,11 @@ type Relay struct {
 	cfg     Config
 	shards  []*shard
 	relayID uint64 // this relay's path identity (loop detection)
-	// upstreamHost gates chained-mode fan-in: data is accepted from any
-	// port on the upstream relay's host, because an upstream running
-	// per-shard send sockets emits data from ephemeral ports.
-	upstreamHost string
-	up           *lease.Subscriber // lease against cfg.Upstream (nil otherwise)
+	// fanInFrom gates chained-mode fan-in: Control and Data are
+	// accepted from this address only — cfg.Upstream, or the sibling a
+	// redirect moved the lease to (guarded by mu).
+	fanInFrom lan.Addr
+	up        *lease.Subscriber // lease against cfg.Upstream (nil otherwise)
 
 	// Hot-path instruments (see internal/obs): wall-clock histograms
 	// and the sampled packet tracer. Always present — recording is a
@@ -546,9 +539,8 @@ type Relay struct {
 
 // New creates a relay that receives cfg.Group via conn — or, with
 // cfg.Upstream set, subscribes to that relay instead — and serves
-// subscribe requests arriving on conn's unicast address. With
-// cfg.Network set, each shard additionally attaches its own
-// ephemeral-port send socket.
+// subscribe requests arriving on conn's unicast address. Everything
+// the relay sends — acks and fan-out alike — goes through conn.
 func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	cfg.applyDefaults()
 	switch {
@@ -596,7 +588,7 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 		r.stats.DVRRings = 1
 	}
 	if cfg.Upstream != "" {
-		r.upstreamHost = cfg.Upstream.Host()
+		r.fanInFrom = cfg.Upstream
 		r.up = lease.New(clock, conn, "relay-upstream-"+string(conn.LocalAddr()))
 		r.up.SetPath(r.pathInfo)
 		r.up.SetAuth(cfg.UpstreamAuth)
@@ -605,27 +597,14 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	r.workersIdle = clock.NewCond()
 	r.admitCond = clock.NewCond()
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{index: i, conn: conn, subs: make(map[lan.Addr]*subscriber)}
+		sh := &shard{index: i, subs: make(map[lan.Addr]*subscriber)}
 		sh.work = clock.NewCond()
-		if cfg.Network != nil {
-			sc, err := cfg.Network.Attach(lan.Addr(
-				net.JoinHostPort(conn.LocalAddr().Host(), "0")))
-			if err != nil {
-				for _, prev := range r.shards {
-					if prev.ownConn {
-						prev.conn.Close()
-					}
-				}
-				return nil, fmt.Errorf("relay: attaching shard %d socket: %w", i, err)
-			}
-			sh.conn, sh.ownConn = sc, true
-		}
-		if cfg.GSO {
-			// Best effort: the portable and simulated backends simply
-			// don't implement the seam and the flush stays plain batches.
-			lan.EnableGSO(sh.conn)
-		}
 		r.shards = append(r.shards, sh)
+	}
+	if cfg.GSO {
+		// Best effort: the portable and simulated backends simply don't
+		// implement the seam and the flush stays plain batches.
+		lan.EnableGSO(conn)
 	}
 	return r, nil
 }
@@ -968,12 +947,6 @@ func (r *Relay) Stop() {
 			r.workersIdle.Wait(&r.mu)
 		}
 		r.mu.Unlock()
-	} else {
-		for _, sh := range r.shards {
-			if sh.ownConn {
-				sh.conn.Close() // no worker exists to do it
-			}
-		}
 	}
 	r.conn.Close()
 }
@@ -1056,13 +1029,14 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 	case proto.TypeControl, proto.TypeData:
 		r.mu.Lock()
 		// Only packets from the configured source are relayed: off the
-		// multicast group, or — chained — from the upstream relay's
-		// host (any port: an upstream running per-shard send sockets
-		// emits data from ephemeral ports). Without this check, anyone
-		// who can reach the relay's unicast address could inject one
-		// forged data packet and have it amplified to every subscriber.
-		if r.upstreamHost != "" {
-			if pkt.From.Host() != r.upstreamHost {
+		// multicast group, or — chained — from the address the upstream
+		// lease is held against (a relay sends everything from the
+		// address it leases at). Without this check, anyone who can
+		// reach the relay's unicast address — another process on the
+		// upstream's host included — could inject one forged data
+		// packet and have it amplified to every subscriber.
+		if r.fanInFrom != "" {
+			if pkt.From != r.fanInFrom {
 				r.stats.UpstreamForeign++
 				r.mu.Unlock()
 				r.tracer.Drop(obs.PathUpstream, obs.ReasonForeign, string(pkt.From), ch)
@@ -1102,7 +1076,7 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 		// is the lease's *current* target, not the configured upstream:
 		// a shedding upstream redirects us to a sibling, and from then
 		// on that sibling is the relay whose acks — and whose data, via
-		// upstreamHost — we accept.
+		// r.fanInFrom — we accept.
 		if r.up != nil {
 			target := r.up.Target()
 			if target == "" || pkt.From != target {
@@ -1111,7 +1085,7 @@ func (r *Relay) handlePacket(pkt lan.Packet) {
 			r.up.HandleAckData(pkt.From, pkt.Data)
 			if nt := r.up.Target(); nt != "" && nt != target {
 				r.mu.Lock()
-				r.upstreamHost = nt.Host()
+				r.fanInFrom = nt
 				r.mu.Unlock()
 			}
 		}

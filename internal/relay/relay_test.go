@@ -2,11 +2,13 @@ package relay
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/lan"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/security"
 	"repro/internal/vclock"
@@ -451,6 +453,101 @@ const flushLatency = 100 * time.Microsecond
 // recorded packet and the next is a second away, so that packet sits in a
 // replay-only batch with a refill due — the one batch a worker holds,
 // for flush at the longest.
+// TestChainedFanInFromUpstreamAddressOnly checks the chained relay's
+// fan-in gate: Control and Data are relayed from the address the
+// upstream lease is held against and from nothing else — not from
+// another port on the upstream's host (any process there could
+// otherwise inject one packet and have it amplified to every
+// subscriber), and, once a SubRedirect has moved the lease to a
+// sibling, not from the relay it left.
+func TestChainedFanInFromUpstreamAddressOnly(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	seg := lan.NewSegment(sim, lan.SegmentConfig{})
+	conns := attachAll(t, seg, "10.0.0.1:5006", "10.0.0.1:7000", "10.0.0.5:5006",
+		"10.0.0.2:5006", "10.0.0.3:5004")
+	up, neighbour, sibling, rconn, sub := conns[0], conns[1], conns[2], conns[3], conns[4]
+	r, err := New(sim, rconn, Config{Upstream: up.LocalAddr(), UpstreamLease: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answer reads the relay's next upstream Subscribe on c and acks it.
+	answer := func(c lan.Conn, ack proto.SubAck) bool {
+		pkt, err := c.Recv(10 * time.Second)
+		if err != nil {
+			t.Errorf("%s: no subscribe from the relay: %v", c.LocalAddr(), err)
+			return false
+		}
+		req, err := proto.UnmarshalSubscribe(pkt.Data)
+		if err != nil {
+			t.Errorf("%s: %v", c.LocalAddr(), err)
+			return false
+		}
+		ack.Seq, ack.Channel = req.Seq, req.Channel
+		data, _ := ack.Marshal()
+		return c.Send(pkt.From, data) == nil
+	}
+	// inject sends one Data packet from c and reports whether the
+	// subscriber received it.
+	seq := uint64(0)
+	inject := func(c lan.Conn) bool {
+		seq++
+		dp, _ := (&proto.Data{Channel: 1, Epoch: 1, Seq: seq, Payload: []byte{byte(seq)}}).Marshal()
+		if err := c.Send(r.Addr(), dp); err != nil {
+			t.Error(err)
+		}
+		pkt, err := sub.Recv(100 * time.Millisecond)
+		if err != nil {
+			return false
+		}
+		d, err := proto.UnmarshalData(pkt.Data)
+		return err == nil && d.Seq == seq
+	}
+	type step struct {
+		from    lan.Conn
+		relayed bool
+	}
+	var got []step
+	sim.Go("relay", r.Run)
+	sim.Go("test", func() {
+		defer r.Stop()
+		if !answer(up, proto.SubAck{Status: proto.SubOK, LeaseMs: 2000}) {
+			return
+		}
+		req, _ := (&proto.Subscribe{Seq: 1, LeaseMs: 60000}).Marshal()
+		if err := sub.Send(r.Addr(), req); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := sub.Recv(time.Second); err != nil {
+			t.Errorf("no suback: %v", err)
+			return
+		}
+		got = append(got, step{neighbour, inject(neighbour)}, step{up, inject(up)})
+		// The next refresh is shed to the sibling; the lease follows.
+		if !answer(up, proto.SubAck{Status: proto.SubRedirect, Redirect: string(sibling.LocalAddr())}) ||
+			!answer(sibling, proto.SubAck{Status: proto.SubOK, LeaseMs: 2000}) {
+			return
+		}
+		got = append(got, step{up, inject(up)}, step{sibling, inject(sibling)})
+	})
+	sim.WaitIdle()
+	want := []step{{neighbour, false}, {up, true}, {up, false}, {sibling, true}}
+	if len(got) != len(want) {
+		t.Fatalf("ran %d of %d steps", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].relayed != w.relayed {
+			t.Errorf("step %d: data from %s relayed = %v, want %v", i, w.from.LocalAddr(), got[i].relayed, w.relayed)
+		}
+	}
+	if st := r.Stats(); st.UpstreamForeign != 2 || st.UpstreamData != 2 || st.UpstreamRedirects != 1 {
+		t.Errorf("foreign/data/redirects = %d/%d/%d, want 2/2/1", st.UpstreamForeign, st.UpstreamData, st.UpstreamRedirects)
+	}
+	if n := r.tracer.DropCount(obs.PathUpstream, obs.ReasonForeign); n != 2 {
+		t.Errorf("traced %d foreign drops, want 2", n)
+	}
+}
+
 func starvedReplayConfig(flush time.Duration) Config {
 	return Config{Channel: 1, DVR: true, DVRBurst: 1, Shards: 1, Batch: 8, FlushInterval: flush}
 }
@@ -745,56 +842,71 @@ func TestFlushSkipsPoisonedDestination(t *testing.T) {
 	}
 }
 
-func TestPerShardSendSockets(t *testing.T) {
-	// With a Network configured, data leaves through shard-owned
-	// ephemeral sockets, not the subscribe/ack socket.
+// TestDataLeavesFromListenAddress checks that every shard worker sends
+// from the relay's one address: with eight shards, each subscriber's
+// SubAck and its data come from r.Addr(), the address it leased at (the
+// one a NAT pinhole opened by its Subscribe would match).
+func TestDataLeavesFromListenAddress(t *testing.T) {
+	const nsubs = 32 // enough that every one of the eight shards holds some
 	sim := vclock.NewSim(time.Time{})
 	seg := lan.NewSegment(sim, lan.SegmentConfig{})
 	conn, err := seg.Attach("10.0.0.1:5006")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(sim, conn, Config{Group: testGroup, Network: seg, Batch: 4,
-		FlushInterval: time.Millisecond})
+	r, err := New(sim, conn, Config{Group: testGroup, Shards: 8, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := seg.Attach("10.0.0.2:5004")
-	if err != nil {
-		t.Fatal(err)
+	subs := make([]lan.Conn, nsubs)
+	for i := range subs {
+		if subs[i], err = seg.Attach(lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i+1))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var ackFrom, dataFrom lan.Addr
+	ackFrom := make([]lan.Addr, nsubs)
+	dataFrom := make([]lan.Addr, nsubs)
 	sim.Go("relay", r.Run)
-	sim.Go("subscriber", func() {
+	sim.Go("subscribers", func() {
+		defer r.Stop()
 		data, _ := (&proto.Subscribe{Channel: 0, Seq: 1, LeaseMs: 60000}).Marshal()
-		if err := sub.Send(r.Addr(), data); err != nil {
-			t.Error(err)
-			return
+		for i, sub := range subs {
+			if err := sub.Send(r.Addr(), data); err != nil {
+				t.Error(err)
+				return
+			}
+			pkt, err := sub.Recv(time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ackFrom[i] = pkt.From
 		}
-		pkt, err := sub.Recv(time.Second)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ackFrom = pkt.From
 		// Feed one data packet in off the group.
 		dp, _ := (&proto.Data{Channel: 1, Epoch: 1, Seq: 1, Payload: []byte{9}}).Marshal()
 		r.handlePacket(lan.Packet{From: "10.0.0.9:5000", To: testGroup, Data: dp})
-		pkt, err = sub.Recv(time.Second)
-		if err != nil {
-			t.Error(err)
-			return
+		for i, sub := range subs {
+			pkt, err := sub.Recv(time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			dataFrom[i] = pkt.From
 		}
-		dataFrom = pkt.From
-		r.Stop()
-		sub.Close()
 	})
 	sim.WaitIdle()
-	if ackFrom != r.Addr() {
-		t.Fatalf("suback came from %s, want the relay's leased address %s", ackFrom, r.Addr())
+	used := make(map[int]bool)
+	for _, sub := range subs {
+		used[r.shardFor(sub.LocalAddr()).index] = true
 	}
-	if dataFrom == "" || dataFrom == r.Addr() {
-		t.Fatalf("data came from %s, want a shard-owned ephemeral socket", dataFrom)
+	if len(used) != 8 {
+		t.Fatalf("subscribers landed on %d of 8 shards; the test needs every shard", len(used))
+	}
+	for i, sub := range subs {
+		if ackFrom[i] != r.Addr() || dataFrom[i] != r.Addr() {
+			t.Errorf("%s: suback from %q, data from %q; want both from %s",
+				sub.LocalAddr(), ackFrom[i], dataFrom[i], r.Addr())
+		}
 	}
 }
 
