@@ -70,6 +70,7 @@
 package main
 
 import (
+	"fmt"
 	"log"
 	stdnet "net"
 	"os"
@@ -80,6 +81,7 @@ import (
 	"repro/internal/rebroadcast"
 	"repro/internal/relay"
 	"repro/internal/security"
+	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -252,9 +254,31 @@ func main() {
 		clock.Go("report", func() {
 			for {
 				clock.Sleep(o.report)
-				r.Table().Render(os.Stdout)
+				reportTable(r, clock.Now()).Render(os.Stdout)
 			}
 		})
 	}
 	r.Run()
+}
+
+// reportTable renders the relay's counters and per-subscriber snapshot
+// as the -report table.
+func reportTable(r *relay.Relay, now time.Time) *stats.Table {
+	st, subs := r.Stats(), r.Subscribers()
+	t := &stats.Table{
+		Title: fmt.Sprintf("relay %s -> %d subscriber(s); upstream %d ctl + %d data, fanout %d sent / %d dropped in %d batches",
+			r.Source(), len(subs), st.UpstreamControl, st.UpstreamData,
+			st.FanoutSent, st.FanoutDropped, st.Batches),
+		Headers: []string{"subscriber", "channel", "hops", "profile", "sent", "dropped", "queued", "lease-left"},
+	}
+	for _, s := range subs {
+		prof := s.Profile.String()
+		if s.Profile != s.ReqProfile {
+			// Ladder-degraded: show where the subscriber wants to be.
+			prof = fmt.Sprintf("%s (req %s)", s.Profile, s.ReqProfile)
+		}
+		t.AddRow(string(s.Addr), fmt.Sprint(s.Channel), int(s.Hops), prof, s.Sent,
+			s.Dropped, s.Queued, s.Expires.Sub(now).Round(time.Millisecond))
+	}
+	return t
 }

@@ -158,6 +158,13 @@ func (c *udpConn) Recv(timeout time.Duration) (Packet, error) {
 	inbox := c.inbox
 	c.mu.Unlock()
 
+	// A packet already queued is taken without arming a timer: a busy
+	// receive loop calls Recv once a packet, and time.After allocates.
+	select {
+	case pkt := <-inbox:
+		return pkt, nil
+	default:
+	}
 	if timeout <= 0 {
 		select {
 		case pkt := <-inbox:

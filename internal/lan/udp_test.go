@@ -176,3 +176,44 @@ func TestUDPInboxOverflowCounted(t *testing.T) {
 		t.Fatalf("drained %d + dropped %d, want %d in total with some dropped", drained, dropped, sent)
 	}
 }
+
+// TestUDPRecvQueuedAllocatesNothing: taking a packet that already waits
+// in the inbox arms no timer, so it allocates nothing.
+func TestUDPRecvQueuedAllocatesNothing(t *testing.T) {
+	n := &UDPNetwork{}
+	a, err := n.Attach("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	defer a.Close()
+	b, err := n.Attach("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	defer b.Close()
+	// Start b's read loop, then queue one packet a run (AllocsPerRun
+	// makes one warm-up call more).
+	if _, err := b.Recv(10 * time.Millisecond); err != ErrTimeout {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	const runs = 50
+	for i := 0; i <= runs; i++ {
+		if err := a.Send(b.LocalAddr(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inbox := b.(*udpConn).inbox
+	for deadline := time.Now().Add(2 * time.Second); len(inbox) <= runs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d packets reached the inbox", len(inbox), runs+1)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := b.Recv(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Recv of a queued packet: %.1f allocations, want 0", allocs)
+	}
+}

@@ -395,7 +395,7 @@ func (r *Relay) applySubscribe(sh *shard, q *request, now time.Time, shedding bo
 		}
 		// An established subscriber is served even when the relay is
 		// shedding — steering moves newcomers.
-		r.refresh(sub, req, now.Add(lease), now)
+		r.refresh(sh, sub, req, now.Add(lease), now)
 		// The ack reports the tier actually served — under ladder
 		// pressure that may sit below the requested profile — and
 		// echoes the shift granted at lease creation: a refresh neither
@@ -480,26 +480,31 @@ func (r *Relay) grant(req *proto.Subscribe) time.Duration {
 	return lease
 }
 
-// insert creates addr's lease at the live head of the stream. Caller
-// holds sh.mu and has already taken the table slot (r.nsubs).
+// insert creates addr's lease at the live head of the stream, last of
+// its group in the fan-out order: a chained lessee at order[sh.lead], a
+// speaker at the end. Caller holds sh.mu and has already taken the
+// table slot (r.nsubs).
 func (r *Relay) insert(sh *shard, addr lan.Addr, req *proto.Subscribe, expires, now time.Time) *subscriber {
 	prof := requestedProfile(req)
 	sub := &subscriber{
 		addr: addr, channel: req.Channel,
-		hops: req.Hops, pathID: req.PathID,
+		hops: req.Hops, pathID: req.PathID, joined: sh.joins,
 		profile: prof, reqProfile: prof, ladderAt: now,
 		expires: expires,
 	}
+	sh.joins++
 	r.goLive(sub)
 	r.profCount[prof].Add(1)
 	sh.subs[addr] = sub
-	sh.order = append(sh.order, sub)
+	sh.place(sub)
 	return sub
 }
 
 // refresh extends sub's lease and adopts what the request re-states:
-// channel filter, path, requested tier. Caller holds the shard lock.
-func (r *Relay) refresh(sub *subscriber, req *proto.Subscribe, expires, now time.Time) {
+// channel filter, path, requested tier. A hop count that crosses 0
+// moves the subscriber between the fan-out order's two groups. Caller
+// holds sh.mu.
+func (r *Relay) refresh(sh *shard, sub *subscriber, req *proto.Subscribe, expires, now time.Time) {
 	sub.expires = expires
 	if sub.channel != req.Channel {
 		// New filter, new numbering: what the old one still had
@@ -508,6 +513,11 @@ func (r *Relay) refresh(sub *subscriber, req *proto.Subscribe, expires, now time
 		if !sub.replay {
 			r.goLive(sub)
 		}
+	}
+	if (req.Hops > 0) != (sub.hops > 0) {
+		sh.unplace(sub)
+		sub.hops = req.Hops
+		sh.place(sub)
 	}
 	sub.hops = req.Hops
 	sub.pathID = req.PathID

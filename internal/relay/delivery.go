@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,14 @@ import (
 // second structure to hand over to, so there is no seam: fanout appends
 // and wakes the shard workers, and one gather loop serves every kind of
 // subscriber.
+//
+// A packet's fan-out goes in rounds, subtree feeds first. Within a
+// shard the chained lessees (downstream relays) lead the order
+// (shard.place), fanout wakes the shards holding one first, and a worker
+// yields after every full batch, so each shard's first batch goes out
+// before any shard's second: a downstream relay's copy, which every
+// listener behind it waits on, never waits for other shards' whole
+// passes.
 //
 // The last QueueLen entries are held by reference with the per-tier
 // payloads buildProfilePayloads encoded on the receive path, so live
@@ -180,12 +189,16 @@ func (r *Relay) fanout(ch uint32, data []byte) {
 	s.win[e.seq%uint64(len(s.win))].Store(e)
 	s.head.Store(e.seq + 1)
 	s.mu.Unlock()
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		if len(sh.order) > 0 {
-			sh.work.Broadcast()
+	// The shards holding a chained lessee are woken first: their first
+	// batch opens with a downstream relay's copy (shard.place).
+	for _, lead := range [2]bool{true, false} {
+		for _, sh := range r.shards {
+			sh.mu.Lock()
+			if len(sh.order) > 0 && (sh.lead > 0) == lead {
+				sh.work.Broadcast()
+			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -488,6 +501,16 @@ func (r *Relay) shardWorker(sh *shard) {
 		sh.mu.Unlock()
 		if len(b.dgs) > 0 {
 			r.flush(sh, b.dgs, b.owners, trigger)
+		}
+		if trigger == flushSize {
+			// The shard has more to send: let the other shards send a
+			// batch first. A goroutine inside sendmmsg keeps its P until
+			// the runtime takes it back, and at audio rates the relay
+			// idles for more than 10 ms between packets, so without the
+			// yield the workers — more of them than CPUs — take turns by
+			// whole passes, and whoever's shard is woken last waits for
+			// every other shard's subscribers.
+			runtime.Gosched()
 		}
 		if stopped && len(b.dgs) == 0 {
 			return

@@ -28,11 +28,14 @@
 // round-robin into lan.Datagram batches and flush them with one
 // WriteBatch call (sendmmsg on Linux) when the batch fills or the
 // moment a pass takes nothing more — a live packet never waits on a
-// timer. Every worker writes to the relay's one socket, in parallel
-// (lan.WriteBatch takes no lock there), so all data leaves from the
-// address subscribers leased at. Only a batch of
-// replayed packets whose subscribers are out of tokens is held, for the
-// flush interval at most.
+// timer. A pass goes in rounds, subtree feeds first: the chained
+// lessees (Hops ≥ 1) lead their shard's order, the shards holding one
+// are woken first, and a worker with more to send yields after each
+// full batch, so the shards interleave batch by batch. Every worker
+// writes to the relay's one socket, in parallel (lan.WriteBatch takes
+// no lock there), so all data leaves from the address subscribers
+// leased at. Only a batch of replayed packets whose subscribers are out
+// of tokens is held, for the flush interval at most.
 //
 // Relays chain: a Relay configured with an Upstream address is itself
 // a subscriber — it leases the stream from another relay (through the

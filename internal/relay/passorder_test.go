@@ -1,0 +1,297 @@
+package relay
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/lan"
+	"repro/internal/proto"
+	"repro/internal/vclock"
+)
+
+// batchLog is a relay socket that records the destinations of every
+// WriteBatch of stream packets, in the order written, and passes the
+// batch on to the socket it wraps.
+type batchLog struct {
+	lan.Conn
+	mu      sync.Mutex
+	batches [][]lan.Addr
+}
+
+func (c *batchLog) WriteBatch(dgs []lan.Datagram) (int, error) {
+	if typ, _, err := proto.PeekType(dgs[0].Data); err == nil && (typ == proto.TypeControl || typ == proto.TypeData) {
+		to := make([]lan.Addr, len(dgs))
+		for i, d := range dgs {
+			to[i] = d.To
+		}
+		c.mu.Lock()
+		c.batches = append(c.batches, to)
+		c.mu.Unlock()
+	}
+	return lan.WriteBatch(c.Conn, dgs)
+}
+
+// take returns the batches recorded so far and forgets them.
+func (c *batchLog) take() [][]lan.Addr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.batches
+	c.batches = nil
+	return b
+}
+
+// hopsPkt builds a Subscribe from addr claiming hops relays behind it
+// (LeaseMs 0 cancels).
+func hopsPkt(t *testing.T, from lan.Addr, hops uint8, leaseMs uint32) lan.Packet {
+	t.Helper()
+	data, err := (&proto.Subscribe{Seq: 1, LeaseMs: leaseMs, Hops: hops}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lan.Packet{From: from, To: "10.0.0.1:5006", Data: data}
+}
+
+// fanOutOrder returns sh's fan-out order and its lead.
+func fanOutOrder(sh *shard) ([]lan.Addr, int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := make([]lan.Addr, len(sh.order))
+	for i, sub := range sh.order {
+		out[i] = sub.addr
+	}
+	return out, sh.lead
+}
+
+// TestChainedLesseeLeadsShard: a downstream relay (Hops ≥ 1) that joins
+// after ten speakers is first in its shard's pass — its copy opens the
+// first WriteBatch of the next packet; a refresh to Hops 0 puts it back
+// among the speakers at its join position, and a cancel or an expiry
+// keeps the lead count exact.
+func TestChainedLesseeLeadsShard(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	seg := lan.NewSegment(sim, lan.SegmentConfig{})
+	conn, err := seg.Attach("10.0.0.1:5006")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &batchLog{Conn: conn}
+	r, err := New(sim, log, Config{Group: testGroup, Shards: 1, Batch: 4, SweepInterval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := r.shards[0]
+	const relayB, relayC = lan.Addr("10.0.2.1:5006"), lan.Addr("10.0.2.2:5006")
+	var speakers []lan.Addr
+	for i := 1; i <= 10; i++ {
+		speakers = append(speakers, lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)))
+		r.handleRequest(hopsPkt(t, speakers[i-1], 0, 60_000))
+	}
+	r.handleRequest(hopsPkt(t, relayB, 1, 60_000))
+
+	expect := func(step string, want []lan.Addr, lead int) {
+		t.Helper()
+		if got, gotLead := fanOutOrder(sh); !slices.Equal(got, want) || gotLead != lead {
+			t.Errorf("%s: order %v lead %d, want %v lead %d", step, got, gotLead, want, lead)
+		}
+	}
+	expect("joined", append([]lan.Addr{relayB}, speakers...), 1)
+
+	var seq uint64
+	// pass sends the next packet and returns every stream batch it
+	// took, concatenated, and the first batch's first destination.
+	pass := func() (all []lan.Addr, first lan.Addr) {
+		log.take()
+		seq++
+		dp, err := (&proto.Data{Channel: 1, Epoch: 1, Seq: seq, Payload: []byte{9}}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.handlePacket(lan.Packet{From: "10.0.0.9:5000", To: testGroup, Data: dp})
+		sim.Sleep(time.Millisecond)
+		for _, b := range log.take() {
+			all = append(all, b...)
+		}
+		if len(all) > 0 {
+			first = all[0]
+		}
+		return all, first
+	}
+	sim.Go("relay", r.Run)
+	sim.Go("test", func() {
+		defer r.Stop()
+		if all, first := pass(); first != relayB || !slices.Equal(all, append([]lan.Addr{relayB}, speakers...)) {
+			t.Errorf("pass with a chained lessee: first %s, sent %v; want %s first, then the speakers", first, all, relayB)
+		}
+
+		r.handleRequest(hopsPkt(t, relayB, 0, 60_000))
+		sim.Sleep(time.Millisecond)
+		expect("refreshed to Hops 0", append(slices.Clone(speakers), relayB), 0)
+		if _, first := pass(); first != speakers[0] {
+			t.Errorf("after the refresh to Hops 0 the pass opens with %s, want %s", first, speakers[0])
+		}
+
+		r.handleRequest(hopsPkt(t, relayB, 2, 60_000))
+		sim.Sleep(time.Millisecond)
+		expect("refreshed to Hops 2", append([]lan.Addr{relayB}, speakers...), 1)
+		if _, first := pass(); first != relayB {
+			t.Errorf("after the refresh to Hops 2 the pass opens with %s, want %s", first, relayB)
+		}
+
+		r.handleRequest(hopsPkt(t, relayB, 2, 0))
+		sim.Sleep(time.Millisecond)
+		expect("cancelled", speakers, 0)
+
+		// relayB on the shortest lease, relayC on a long one: the sweep
+		// expires relayB only.
+		r.handleRequest(hopsPkt(t, relayB, 1, 1))
+		r.handleRequest(hopsPkt(t, relayC, 1, 60_000))
+		sim.Sleep(time.Millisecond)
+		expect("two chained lessees", append([]lan.Addr{relayB, relayC}, speakers...), 2)
+		sim.Sleep(3 * time.Second)
+		expect("one expired", append([]lan.Addr{relayC}, speakers...), 1)
+		if _, first := pass(); first != relayC {
+			t.Errorf("after the expiry the pass opens with %s, want %s", first, relayC)
+		}
+	})
+	sim.WaitIdle()
+}
+
+// TestFanOutOrderProperty runs a seeded random schedule of subscribes,
+// refreshes that flip the hop count across 0, cancels and expiries over
+// eight shards, and after every step holds each shard's order to the
+// reference: the chained lessees (hops > 0) first, exactly order[:lead],
+// then the speakers, each group in join order.
+func TestFanOutOrderProperty(t *testing.T) {
+	const seed, steps = 31, 3000
+	_, _, r := newTestRelay(t, Config{Shards: 8})
+	rng := rand.New(rand.NewPCG(seed, seed))
+	type lessee struct {
+		addr lan.Addr
+		hops uint8
+	}
+	var model []lessee // join order
+	find := func(addr lan.Addr) int {
+		return slices.IndexFunc(model, func(l lessee) bool { return l.addr == addr })
+	}
+	var addrs []lan.Addr
+	for i := 0; i < 48; i++ {
+		addrs = append(addrs, lan.Addr(fmt.Sprintf("10.0.%d.%d:5004", i/8, i%8+1)))
+	}
+	for step := 0; step < steps; step++ {
+		addr := addrs[rng.IntN(len(addrs))]
+		hops := uint8(rng.IntN(3)) // 0: a speaker; 1, 2: a downstream relay
+		op := "subscribe"
+		switch i := find(addr); {
+		case i < 0:
+			r.handleRequest(hopsPkt(t, addr, hops, 3_600_000))
+			model = append(model, lessee{addr, hops})
+		case rng.IntN(4) == 0:
+			op = "cancel"
+			r.handleRequest(hopsPkt(t, addr, hops, 0))
+			model = slices.Delete(model, i, i+1)
+		case rng.IntN(4) == 0:
+			op = "expire"
+			r.handleRequest(hopsPkt(t, addr, hops, 1)) // the shortest lease, then a sweep past it
+			r.sweepOnce(r.clock.Now().Add(10 * time.Second))
+			model = slices.Delete(model, i, i+1)
+		default:
+			op = "refresh"
+			r.handleRequest(hopsPkt(t, addr, hops, 3_600_000))
+			model[i].hops = hops
+		}
+		for _, sh := range r.shards {
+			var lead, rest []lan.Addr
+			for _, l := range model {
+				switch {
+				case r.shardFor(l.addr) != sh:
+				case l.hops > 0:
+					lead = append(lead, l.addr)
+				default:
+					rest = append(rest, l.addr)
+				}
+			}
+			got, gotLead := fanOutOrder(sh)
+			if want := append(lead, rest...); !slices.Equal(got, want) || gotLead != len(lead) {
+				t.Fatalf("seed %d step %d (%s %s hops %d): shard %d order %v lead %d, want %v lead %d",
+					seed, step, op, addr, hops, sh.index, got, gotLead, want, len(lead))
+			}
+		}
+	}
+	if n := r.NumSubscribers(); n != len(model) {
+		t.Fatalf("relay holds %d subscribers, the reference %d", n, len(model))
+	}
+}
+
+// TestPassInterleavesShards: with more shard workers than CPUs (eight on
+// one), one packet owed to every subscriber goes out batch by batch
+// across the shards — a worker yields after each full batch, so no shard
+// sends its whole pass while another has sent nothing.
+//
+// A yielding worker queues behind the others, and the first round is
+// exact but for one thing the runtime does: every 61st scheduling takes
+// the head of the global run queue first, where the yielded workers
+// wait, so about one run in nine lets one shard's second batch out
+// before the last shard's first. At most one can, so that is what is
+// asserted, with no third batch before every shard's first.
+func TestPassInterleavesShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const shards, batchSize, batches = 8, 4, 4 // batches a shard's pass takes
+	log := &batchLog{Conn: newRecordConn()}
+	r, err := New(vclock.System, log, Config{Group: testGroup, Shards: shards, Batch: batchSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]int, shards)
+	for i, full := 0, 0; full < shards; i++ {
+		addr := lan.Addr(fmt.Sprintf("10.1.%d.%d:5004", i/250, i%250+1))
+		if k := r.shardFor(addr).index; held[k] < batchSize*batches {
+			if held[k]++; held[k] == batchSize*batches {
+				full++
+			}
+			r.subscribe(addr, &proto.Subscribe{}, time.Hour)
+		}
+	}
+	go r.Run()
+	defer r.Stop()
+	time.Sleep(20 * time.Millisecond) // the workers park, their shards at the head
+	dp, err := (&proto.Data{Channel: 1, Epoch: 1, Seq: 1, Payload: []byte{9}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.handlePacket(lan.Packet{From: "10.0.0.9:5000", To: testGroup, Data: dp})
+	var got [][]lan.Addr
+	for deadline := time.Now().Add(5 * time.Second); len(got) < shards*batches; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches written, want %d", len(got), shards*batches)
+		}
+		got = append(got, log.take()...)
+	}
+	written := make([]int, shards) // batches written so far, by shard
+	started, early := 0, 0         // shards that have written their first; second batches before that was all
+	for _, b := range got {
+		k := r.shardFor(b[0]).index
+		if written[k]++; written[k] == 1 {
+			started++
+		} else if started < shards {
+			early++
+		}
+	}
+	if early > 1 {
+		t.Fatalf("%d batches went out before every shard had written its first, want at most 1; shard of each batch: %v",
+			early, shardSequence(r, got))
+	}
+}
+
+// shardSequence renders the shard of each batch, in write order.
+func shardSequence(r *Relay, batches [][]lan.Addr) []int {
+	out := make([]int, len(batches))
+	for i, b := range batches {
+		out[i] = r.shardFor(b[0]).index
+	}
+	return out
+}

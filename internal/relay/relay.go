@@ -1,9 +1,11 @@
 package relay
 
 import (
+	"cmp"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +18,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/relay/lease"
 	"repro/internal/security"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -374,6 +375,7 @@ type subscriber struct {
 	channel uint32
 	hops    uint8  // relay depth behind this subscriber (speakers: 0)
 	pathID  uint64 // path origin carried by its subscribe (speakers: 0)
+	joined  uint64 // join stamp within its shard: its place in the fan-out order
 	expires time.Time
 	sent    int64
 	dropped int64
@@ -426,10 +428,14 @@ type subscriber struct {
 type shard struct {
 	index int // position in Relay.shards
 
-	mu      sync.Mutex
-	work    vclock.Cond // signaled when the arrival sequence grows or a replay is armed
-	subs    map[lan.Addr]*subscriber
-	order   []*subscriber // insertion order, for deterministic fan-out
+	mu   sync.Mutex
+	work vclock.Cond // signaled when the arrival sequence grows or a replay is armed
+	subs map[lan.Addr]*subscriber
+	// order is the fan-out order: the chained lessees (hops > 0) in
+	// order[:lead], then the speakers, each group in join order (place).
+	order   []*subscriber
+	lead    int
+	joins   uint64 // subscribers ever inserted: the next one's join stamp
 	stopped bool
 
 	// Per-shard pressure accounting (satellite to the lumped Stats
@@ -448,10 +454,34 @@ func (r *Relay) remove(sh *shard, sub *subscriber) {
 		r.catchupActive.Add(-1)
 	}
 	delete(sh.subs, sub.addr)
-	for i, s := range sh.order {
-		if s == sub {
-			sh.order = append(sh.order[:i], sh.order[i+1:]...)
-			break
+	sh.unplace(sub)
+}
+
+// place puts sub into the fan-out order at its join position within its
+// group. A subscriber with relays behind it is a whole subtree's feed
+// (the reason grant sizes its lease by depth), so the chained lessees
+// lead every pass and a downstream relay's copy leaves before the
+// speakers'. Moving one is O(n), as removing one is; it happens only
+// when the relay's downstream topology changes. Caller holds sh.mu and
+// sub is not in the order.
+func (sh *shard) place(sub *subscriber) {
+	lo, hi := sh.lead, len(sh.order)
+	if sub.hops > 0 {
+		lo, hi = 0, sh.lead
+		sh.lead++
+	}
+	i, _ := slices.BinarySearchFunc(sh.order[lo:hi], sub.joined, func(s *subscriber, joined uint64) int {
+		return cmp.Compare(s.joined, joined)
+	})
+	sh.order = slices.Insert(sh.order, lo+i, sub)
+}
+
+// unplace takes sub out of the fan-out order. Caller holds sh.mu.
+func (sh *shard) unplace(sub *subscriber) {
+	if i := slices.Index(sh.order, sub); i >= 0 {
+		sh.order = slices.Delete(sh.order, i, i+1)
+		if i < sh.lead {
+			sh.lead--
 		}
 	}
 }
@@ -881,29 +911,6 @@ func (r *Relay) Subscribers() []SubscriberInfo {
 	return out
 }
 
-// Table renders the per-subscriber counters as a stats table — the
-// relay's operator surface (cmd/relayd prints it periodically).
-func (r *Relay) Table() *stats.Table {
-	st := r.Stats()
-	t := &stats.Table{
-		Title: fmt.Sprintf("relay %s -> %d subscriber(s); upstream %d ctl + %d data, fanout %d sent / %d dropped in %d batches",
-			r.Source(), r.NumSubscribers(), st.UpstreamControl, st.UpstreamData,
-			st.FanoutSent, st.FanoutDropped, st.Batches),
-		Headers: []string{"subscriber", "channel", "hops", "profile", "sent", "dropped", "queued", "lease-left"},
-	}
-	now := r.clock.Now()
-	for _, s := range r.Subscribers() {
-		prof := s.Profile.String()
-		if s.Profile != s.ReqProfile {
-			// Ladder-degraded: show where the subscriber wants to be.
-			prof = fmt.Sprintf("%s (req %s)", s.Profile, s.ReqProfile)
-		}
-		t.AddRow(string(s.Addr), fmt.Sprint(s.Channel), int(s.Hops), prof, s.Sent,
-			s.Dropped, s.Queued, s.Expires.Sub(now).Round(time.Millisecond))
-	}
-	return t
-}
-
 // Stop shuts the relay down; Run and the shard workers return. The
 // workers flush their partial batches on the way out (the quiesce
 // trigger), so Stop waits for them before closing any socket — closing
@@ -1136,32 +1143,37 @@ func (r *Relay) sweep() {
 		if r.isStopped() {
 			return
 		}
-		now := r.clock.Now()
-		var expired, down, up int64
-		for _, sh := range r.shards {
-			sh.mu.Lock()
-			for _, sub := range append([]*subscriber(nil), sh.order...) {
-				if !sub.expires.After(now) {
-					r.remove(sh, sub)
-					expired++
-				}
+		r.sweepOnce(r.clock.Now())
+	}
+}
+
+// sweepOnce is one sweep at now: expiry, settling, the ladder's step and
+// the channel trim.
+func (r *Relay) sweepOnce(now time.Time) {
+	var expired, down, up int64
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		for _, sub := range slices.Clone(sh.order) {
+			if !sub.expires.After(now) {
+				r.remove(sh, sub)
+				expired++
 			}
-			r.settle(sh) // charge what a stalled worker has not got to
-			if r.cfg.Ladder {
-				d, u := r.ladderStep(sh, now)
-				down += d
-				up += u
-			}
-			sh.mu.Unlock()
 		}
-		r.trimChannels()
-		if expired+down+up > 0 {
-			r.mu.Lock()
-			r.nsubs -= int(expired)
-			r.stats.Expired += expired
-			r.stats.LadderDown += down
-			r.stats.LadderUp += up
-			r.mu.Unlock()
+		r.settle(sh) // charge what a stalled worker has not got to
+		if r.cfg.Ladder {
+			d, u := r.ladderStep(sh, now)
+			down += d
+			up += u
 		}
+		sh.mu.Unlock()
+	}
+	r.trimChannels()
+	if expired+down+up > 0 {
+		r.mu.Lock()
+		r.nsubs -= int(expired)
+		r.stats.Expired += expired
+		r.stats.LadderDown += down
+		r.stats.LadderUp += up
+		r.mu.Unlock()
 	}
 }
