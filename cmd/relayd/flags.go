@@ -33,7 +33,6 @@ type options struct {
 	shedSubs int
 	shedPres int
 	shedTier bool
-	admitB   int
 
 	ladder          bool
 	ladderDownDrops int
@@ -49,10 +48,19 @@ type options struct {
 	traceN  int
 }
 
-// parseFlags registers the full relayd flag surface on a fresh FlagSet
-// and parses args (not including the program name).
+// parseFlags parses args (not including the program name) against the
+// full relayd flag surface.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
+	if err := flagSet(o).Parse(args); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// flagSet registers the full relayd flag surface on a fresh FlagSet,
+// each flag bound to its field of o.
+func flagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("relayd", flag.ContinueOnError)
 	fs.StringVar(&o.group, "group", "239.72.1.1:5004", "multicast group to relay (ignored with -upstream)")
 	fs.StringVar(&o.upstream, "upstream", "", "chain behind another relay: its unicast address, or 'discover' to pick one from the catalog (replaces -group)")
@@ -74,7 +82,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.shedSubs, "shed-subscribers", 0, "shed new subscribers (SubRedirect to a catalog sibling) at this subscriber count (0 = off; needs -advertise so siblings are watched)")
 	fs.IntVar(&o.shedPres, "shed-pressure", 0, "shed new subscribers at this queue-pressure score, 1-255 (0 = off; needs -advertise so siblings are watched)")
 	fs.BoolVar(&o.shedTier, "shed-tier", false, "redirect subscribers the quality ladder has pushed to the bottom rung to a less-loaded catalog sibling at their next refresh (needs -ladder and -advertise)")
-	fs.IntVar(&o.admitB, "admit-batch", relay.DefaultAdmitBatch, "subscribe admission batch size (1 = per-packet verification)")
 	fs.BoolVar(&o.ladder, "ladder", false, "adaptive quality ladder: transcode congested subscribers down the profile tiers, recover after a clean dwell")
 	fs.IntVar(&o.ladderDownDrops, "ladder-down-drops", relay.DefaultLadderDownDrops, "queue drops per sweep that push a subscriber one ladder tier down (with -ladder)")
 	fs.DurationVar(&o.ladderDwell, "ladder-dwell", relay.DefaultLadderDwell, "drop-free dwell before a downgraded subscriber climbs one tier back (with -ladder)")
@@ -85,10 +92,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.report, "report", 10*time.Second, "stats table interval (0 = silent)")
 	fs.StringVar(&o.opsAddr, "ops-addr", "", "ops HTTP endpoint: /metrics, /snapshot, /trace, /healthz, /debug/pprof (empty = off)")
 	fs.IntVar(&o.traceN, "trace-sample", 0, "packet tracer 1-in-N sampling for the event ring (0 = default; drop counters are always exact)")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	return o, nil
+	return fs
 }
 
 // relayConfig shapes the parsed flags into the relay.Config main hands
@@ -113,7 +117,6 @@ func (o *options) relayConfig(auth security.RelayAuthenticator, upstreamAuth sec
 		ShedSubscribers: o.shedSubs,
 		ShedPressure:    o.shedPres,
 		ShedTier:        o.shedTier,
-		AdmitBatch:      o.admitB,
 		SourceHops:      sourceHops,
 		Ladder:          o.ladder,
 		LadderDownDrops: o.ladderDownDrops,

@@ -274,3 +274,56 @@ func BenchmarkOVLDecodeFrame(b *testing.B) {
 		}
 	}
 }
+
+// benchClip is 100 ms of CD-quality music as raw PCM, the unit the
+// whole-codec benches below price: ten of them are the per-second
+// encode cost Figure 4 integrates.
+func benchClip() []byte {
+	p := audio.CDQuality
+	samples := make([]int16, p.SampleRate*p.Channels/10)
+	audio.Music(p.SampleRate, p.Channels).ReadSamples(samples)
+	return audio.Encode(p, samples)
+}
+
+// BenchmarkOVLEncode prices the whole encoder — input buffering and
+// packet framing around every hop — on 100 ms of CD audio.
+func BenchmarkOVLEncode(b *testing.B) {
+	enc, err := NewEncoder("ovl", audio.CDQuality, MaxQuality)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := benchClip()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSink, err = enc.Encode(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOVLDecode prices the matching decoder, the speaker side, on
+// the packet that clip encodes to.
+func BenchmarkOVLDecode(b *testing.B) {
+	enc, err := NewEncoder("ovl", audio.CDQuality, MaxQuality)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkt, err := enc.Encode(benchClip())
+	if err != nil || len(pkt) == 0 {
+		b.Fatalf("no packet from 100 ms of audio: %v", err)
+	}
+	dec, err := NewDecoder("ovl", audio.CDQuality)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(pkt)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSink, err = dec.Decode(pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package lan
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -416,5 +417,52 @@ func TestSegmentRecvTimeout(t *testing.T) {
 	}
 	if at != 25*time.Millisecond {
 		t.Fatalf("timed out at %v", at)
+	}
+}
+
+// BenchmarkSegmentMulticast prices the simulated segment's fan-out of
+// one 1400-byte multicast datagram to eight draining receivers.
+// Cleanup closes every endpoint and waits for the simulation to go
+// idle, so no drain task or pending delivery outlives the bench.
+func BenchmarkSegmentMulticast(b *testing.B) {
+	sim := vclock.NewSim(time.Time{})
+	seg := NewSegment(sim, SegmentConfig{})
+	src, err := seg.Attach("10.0.0.1:5000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	conns := []Conn{src}
+	b.Cleanup(func() {
+		for _, c := range conns {
+			c.Close()
+		}
+		sim.WaitIdle()
+	})
+	group := Addr("239.1.1.1:5004")
+	for i := 0; i < 8; i++ {
+		c, err := seg.Attach(Addr(fmt.Sprintf("10.0.0.%d:5004", 2+i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		conns = append(conns, c)
+		if err := c.Join(group); err != nil {
+			b.Fatal(err)
+		}
+		sim.Go("drain", func() {
+			for {
+				if _, err := c.Recv(0); err != nil {
+					return
+				}
+			}
+		})
+	}
+	payload := make([]byte, 1400)
+	b.ReportAllocs()
+	b.SetBytes(1400 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Send(group, payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

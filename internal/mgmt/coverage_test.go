@@ -13,12 +13,13 @@ import (
 )
 
 // TestStatsCoverage walks every exported int64 field of relay.Stats and
-// speaker.Stats by reflection and asserts each one is reachable on both
-// operator surfaces: the mgmt MIB (under its mib tag) and the obs
-// registry (under the Prometheus name obs.CounterName derives from the
-// same tag). Adding a Stats field without wiring it is therefore
-// impossible to do silently — either the missing mib tag panics in
-// StatsVars, or this test names the field that fell off a surface.
+// speaker.Stats by reflection and asserts each one carries its mib and
+// help tags and is reachable on its operator surfaces: the obs registry
+// (under the Prometheus name obs.CounterName derives from the mib tag)
+// for both, and the speaker's mgmt MIB (under the mib tag itself).
+// Adding a Stats field without wiring it is therefore impossible to do
+// silently — either the missing mib tag panics in StatsVars, or this
+// test names the field that fell off a surface.
 func TestStatsCoverage(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	seg := lan.NewSegment(sim, lan.SegmentConfig{})
@@ -45,10 +46,14 @@ func TestStatsCoverage(t *testing.T) {
 		inReg[n] = true
 	}
 
+	// mib is nil for relay.Stats: relayd exports its counters on the
+	// obs registry only.
 	check := func(mib *MIB, statsType reflect.Type, prefix string) {
 		inMIB := map[string]bool{}
-		for _, n := range mib.Names() {
-			inMIB[n] = true
+		if mib != nil {
+			for _, n := range mib.Names() {
+				inMIB[n] = true
+			}
 		}
 		for i := 0; i < statsType.NumField(); i++ {
 			f := statsType.Field(i)
@@ -63,7 +68,7 @@ func TestStatsCoverage(t *testing.T) {
 			if f.Tag.Get("help") == "" {
 				t.Errorf("%s.%s (%s) has no help tag", statsType.Name(), f.Name, tag)
 			}
-			if !inMIB[tag] {
+			if mib != nil && !inMIB[tag] {
 				t.Errorf("%s.%s: MIB variable %q not registered", statsType.Name(), f.Name, tag)
 			}
 			if metric := obs.CounterName(prefix, f); !inReg[metric] {
@@ -71,7 +76,7 @@ func TestStatsCoverage(t *testing.T) {
 			}
 		}
 	}
-	check(RelayMIB("bridge", r), reflect.TypeOf(relay.Stats{}), "es_relay")
+	check(nil, reflect.TypeOf(relay.Stats{}), "es_relay")
 	check(SpeakerMIB("cov", sp), reflect.TypeOf(speaker.Stats{}), "es_speaker")
 
 	// The hot-path histograms are on the metrics surface too.

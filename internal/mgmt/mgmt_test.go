@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lan"
 	"repro/internal/rebroadcast"
-	"repro/internal/relay"
 	"repro/internal/speaker"
 	"repro/internal/vad"
 	"repro/internal/vclock"
@@ -359,48 +358,4 @@ func TestSpeakerMIBValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.Stop()
-}
-
-func TestRelayMIB(t *testing.T) {
-	sim := vclock.NewSim(time.Time{})
-	seg := lan.NewSegment(sim, lan.SegmentConfig{})
-	conn, err := seg.Attach("10.0.0.1:5006")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := relay.New(sim, conn, relay.Config{Group: "239.72.1.1:5004", Channel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mib := RelayMIB("bridge", r)
-	if v, err := mib.Get("es.relay.group"); err != nil || v != "239.72.1.1:5004" {
-		t.Fatalf("group = (%q, %v)", v, err)
-	}
-	if v, err := mib.Get("es.relay.subscribers"); err != nil || v != "0" {
-		t.Fatalf("subscribers = (%q, %v)", v, err)
-	}
-	if v, err := mib.Get("es.relay.addr"); err != nil || v != "10.0.0.1:5006" {
-		t.Fatalf("addr = (%q, %v)", v, err)
-	}
-	// Every es.relay.* variable is readable.
-	for _, p := range mib.Walk("es.relay") {
-		if p.Name == "" {
-			t.Fatalf("bad pair %+v", p)
-		}
-	}
-	if len(mib.Walk("es.relay")) < 10 {
-		t.Fatalf("walk returned %d vars", len(mib.Walk("es.relay")))
-	}
-	// The batching telemetry is on the operator surface.
-	for _, name := range []string{
-		"es.relay.fanout.batches",
-		"es.relay.fanout.flush.size",
-		"es.relay.fanout.flush.deadline",
-		"es.relay.fanout.flush.quiesce",
-	} {
-		if v, err := mib.Get(name); err != nil || v != "0" {
-			t.Fatalf("%s = (%q, %v), want 0", name, v, err)
-		}
-	}
-	r.Stop()
 }

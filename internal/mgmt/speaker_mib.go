@@ -96,7 +96,10 @@ func SpeakerMIB(name string, sp *speaker.Speaker) *MIB {
 			return "0"
 		}, nil))
 
-	// Every speaker.Stats counter, named by its mib tag (see RelayMIB).
+	// Every speaker.Stats counter, named by its mib tag — one reflective
+	// call instead of hand-wired registrations, and impossible for a new
+	// Stats field to miss (StatsVars panics on a missing tag, and the
+	// coverage test in this package checks the full surface).
 	m.StatsVars(func() any { return sp.Stats() })
 	m.Register(IntVar("es.dev.underruns", "audio device underruns",
 		func() int64 { return sp.Device().GetStats().Underruns }, nil))

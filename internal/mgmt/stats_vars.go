@@ -3,32 +3,24 @@ package mgmt
 import (
 	"fmt"
 	"reflect"
+
+	"repro/internal/obs"
 )
 
 // StatsVars registers one read-only IntVar per exported int64 field of
 // the struct returned by snap, named and documented by the field's
 // `mib` and `help` tags — the same tags obs.StructCounters exports to
-// Prometheus, so the MIB and the metrics endpoint can never drift from
-// the stats structs or from each other. A field without a mib tag
-// panics: an unreachable counter is a wiring bug, and the tag is where
-// its operator-visible name lives.
+// Prometheus, walked by the same obs.StructFields, so the MIB and the
+// metrics endpoint can never drift from the stats structs or from each
+// other. A field without a mib tag panics: an unreachable counter is a
+// wiring bug, and the tag is where its operator-visible name lives.
 func (m *MIB) StatsVars(snap func() any) {
-	t := reflect.TypeOf(snap())
-	if t.Kind() != reflect.Struct {
-		panic("mgmt: StatsVars needs a struct snapshot")
-	}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Type.Kind() != reflect.Int64 {
-			continue
-		}
+	obs.StructFields(snap, func(f reflect.StructField, get func() int64) {
 		name := f.Tag.Get("mib")
 		if name == "" {
-			panic(fmt.Sprintf("mgmt: stats field %s.%s has no mib tag", t.Name(), f.Name))
+			panic(fmt.Sprintf("mgmt: stats field %s.%s has no mib tag",
+				reflect.TypeOf(snap()).Name(), f.Name))
 		}
-		idx := i
-		m.Register(IntVar(name, f.Tag.Get("help"), func() int64 {
-			return reflect.ValueOf(snap()).Field(idx).Int()
-		}, nil))
-	}
+		m.Register(IntVar(name, f.Tag.Get("help"), get, nil))
+	})
 }

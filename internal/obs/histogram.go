@@ -8,8 +8,7 @@ import (
 // DefaultLatencyBounds is the bucket layout shared by every hot-path
 // histogram: roughly logarithmic from 1µs to 5s, which spans everything
 // from a sendmmsg flush (tens of µs) to a lease margin (seconds) with
-// one scale, so any two histograms can be compared bucket for bucket
-// and merged (see Merge).
+// one scale, so any two histograms can be compared bucket for bucket.
 var DefaultLatencyBounds = []time.Duration{
 	1 * time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
 	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
@@ -108,20 +107,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Count returns the number of observations so far.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Merge folds other's counts into h. Both histograms must share the
-// same bucket layout (the benchmarks merge per-iteration relay
-// histograms into one aggregate this way).
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.buckets) != len(h.buckets) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	for i := range h.buckets {
-		h.buckets[i].Add(other.buckets[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear
 // interpolation inside the bucket that crosses the target rank —

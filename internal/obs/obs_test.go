@@ -68,22 +68,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram("a_seconds", "a", nil)
-	b := NewHistogram("b_seconds", "b", nil)
-	a.Observe(time.Millisecond)
-	b.Observe(time.Millisecond)
-	b.Observe(time.Second)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
-	}
-	s := a.Snapshot()
-	if s.Sum != 2*time.Millisecond+time.Second {
-		t.Fatalf("merged sum = %v", s.Sum)
-	}
-}
-
 func TestTracerRingOverflow(t *testing.T) {
 	tr := NewTracer(1, 4) // record everything, tiny ring
 	for i := 0; i < 10; i++ {

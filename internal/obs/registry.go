@@ -178,24 +178,30 @@ func (g *Registry) JSONVar(name string, fn func() any) {
 // prefix_<snake_case_field>_total. Help text comes from the `help`
 // tag, defaulting to the field name.
 func (g *Registry) StructCounters(prefix string, snap func() any) {
+	StructFields(snap, func(f reflect.StructField, get func() int64) {
+		help := f.Tag.Get("help")
+		if help == "" {
+			help = f.Name
+		}
+		g.Counter(CounterName(prefix, f), help, get)
+	})
+}
+
+// StructFields calls fn once per exported int64 field of the struct
+// returned by snap, with a getter that reads the field from a fresh
+// snapshot. It is the one walk over a stats struct's `mib`/`help`
+// tags: StructCounters and the mgmt MIB both register through it.
+func StructFields(snap func() any, fn func(f reflect.StructField, get func() int64)) {
 	t := reflect.TypeOf(snap())
 	if t.Kind() != reflect.Struct {
-		panic("obs: StructCounters needs a struct snapshot")
+		panic("obs: stats snapshot is not a struct")
 	}
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() || f.Type.Kind() != reflect.Int64 {
 			continue
 		}
-		name := CounterName(prefix, f)
-		help := f.Tag.Get("help")
-		if help == "" {
-			help = f.Name
-		}
-		idx := i
-		g.Counter(name, help, func() int64 {
-			return reflect.ValueOf(snap()).Field(idx).Int()
-		})
+		fn(f, func() int64 { return reflect.ValueOf(snap()).Field(i).Int() })
 	}
 }
 

@@ -800,3 +800,40 @@ func TestDataFitsInDatagramForTypicalBlocks(t *testing.T) {
 		t.Fatalf("marshalled size %d exceeds datagram limit", len(data))
 	}
 }
+
+// benchData is a full data packet: the rebroadcaster's 1400-byte
+// chunking target.
+func benchData() *Data {
+	return &Data{Channel: 1, Epoch: 1, Seq: 42, PlayAt: 123456789,
+		Payload: make([]byte, 1400)}
+}
+
+var benchSink []byte
+
+// BenchmarkProtoDataMarshal prices wire encoding of a full data packet.
+func BenchmarkProtoDataMarshal(b *testing.B) {
+	d := benchData()
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSink, err = d.Marshal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProtoDataUnmarshal prices the speaker's parse path.
+func BenchmarkProtoDataUnmarshal(b *testing.B) {
+	pkt, err := benchData().Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalData(pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

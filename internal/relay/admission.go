@@ -41,7 +41,7 @@ func (r *Relay) handleRequest(pkt lan.Packet) {
 		return
 	}
 	r.admitQ = append(r.admitQ, pkt)
-	if len(r.admitQ) == 1 || len(r.admitQ) >= r.cfg.AdmitBatch {
+	if len(r.admitQ) == 1 || len(r.admitQ) >= DefaultAdmitBatch {
 		// Wake the worker when it may be idle (first packet) or its
 		// gather window can end early (a full batch is ready); the
 		// in-between enqueues pile up for the current window.
@@ -51,7 +51,7 @@ func (r *Relay) handleRequest(pkt lan.Packet) {
 }
 
 // admitWorker drains the admission queue in gather passes of up to
-// cfg.AdmitBatch requests each and hands every pass to admitBatch.
+// DefaultAdmitBatch requests each and hands every pass to admitBatch.
 // Batching is what survives a join storm: verification, lease-table
 // insertion, ack signing, and the ack sends are all amortized per
 // pass instead of paid per packet. It exits once Stop is called and
@@ -76,7 +76,7 @@ func (r *Relay) admitWorker() {
 			r.admitMu.Unlock()
 			return
 		}
-		if r.cfg.AdmitBatch > 1 && len(r.admitQ) < r.cfg.AdmitBatch && !r.admitStop &&
+		if len(r.admitQ) < DefaultAdmitBatch && !r.admitStop &&
 			r.clock.Now().Sub(lastPass) < admitGatherWindow {
 			// Back-to-back passes mean a storm is arriving one recv at a
 			// time: without this bounded beat the worker would wake per
@@ -87,7 +87,7 @@ func (r *Relay) admitWorker() {
 			r.admitCond.WaitTimeout(&r.admitMu, admitGatherWindow)
 		}
 		lastPass = r.clock.Now()
-		n := r.cfg.AdmitBatch
+		n := DefaultAdmitBatch
 		if n > len(r.admitQ) {
 			n = len(r.admitQ)
 		}

@@ -60,10 +60,10 @@ const (
 	// worker gathers per pass: verification, lease-table insertion, ack
 	// signing, and the ack sends are all amortized across the gather.
 	DefaultAdmitBatch = 256
-	// admitQueueLen bounds the admission queue. At the default batch
-	// size that is 16 gather passes of backlog — a join storm beyond it
-	// is load-shed at the door (counted, traced) rather than allowed to
-	// grow an unbounded packet backlog.
+	// admitQueueLen bounds the admission queue: 16 gather passes of
+	// backlog — a join storm beyond it is load-shed at the door
+	// (counted, traced) rather than allowed to grow an unbounded packet
+	// backlog.
 	admitQueueLen = 4096
 	// admitGatherWindow is how long the admission worker lets a
 	// partially-filled gather pass pile up before verifying what it has.
@@ -121,8 +121,7 @@ type Config struct {
 	// SweepInterval overrides DefaultSweepInterval.
 	SweepInterval time.Duration
 	// Batch overrides DefaultBatch. 1 disables batching: every datagram
-	// is its own send call (the pre-batching baseline, kept for
-	// comparison benchmarks).
+	// is its own send call.
 	Batch int
 	// FlushInterval overrides DefaultFlushInterval: the longest a
 	// replay-only batch waits. Live packets never wait on it.
@@ -177,10 +176,6 @@ type Config struct {
 	// instead of a lease. Requires Ladder; with no eligible sibling the
 	// subscriber is served normally, exactly like the other shed modes.
 	ShedTier bool
-	// AdmitBatch overrides DefaultAdmitBatch. 1 disables admission
-	// batching: every Subscribe is verified, admitted, and acked on its
-	// own (the pre-batching baseline, kept for comparison benchmarks).
-	AdmitBatch int
 	// SourceHops overrides the relay-hops-from-source value stamped in
 	// the catalog record's load vector: 0 derives it (1 when joining
 	// the group directly, 2 when chained — the minimum a chain can be).
@@ -255,9 +250,6 @@ func (c *Config) applyDefaults() {
 		// limit would never trip and silently disable the loop backstop.
 		c.MaxHops = 255
 	}
-	if c.AdmitBatch <= 0 {
-		c.AdmitBatch = DefaultAdmitBatch
-	}
 	if c.LadderDwell <= 0 {
 		c.LadderDwell = DefaultLadderDwell
 	}
@@ -276,10 +268,10 @@ func (c *Config) applyDefaults() {
 }
 
 // Stats is the relay's cumulative accounting. The `mib` and `help`
-// tags drive registration everywhere a counter is exported — the mgmt
-// MIB (mgmt.StatsVars) and the obs registry (obs.StructCounters) — so
-// a new field is published on every surface by adding it here, and the
-// coverage test in internal/mgmt fails if a field lacks its tag.
+// tags name and document each counter on the obs registry
+// (obs.StructCounters, served on /metrics and /snapshot), so a new
+// field is published by adding it here, and the coverage test in
+// internal/mgmt fails if a field lacks its tags.
 type Stats struct {
 	UpstreamControl  int64 `mib:"es.relay.upstream.control" help:"control packets taken off the group"`
 	UpstreamData     int64 `mib:"es.relay.upstream.data" help:"data packets taken off the group"`
