@@ -17,6 +17,81 @@ import (
 // re-arm on EAGAIN), so a lone packet is still delivered immediately.
 const recvBatch = 16
 
+// recvPass is the batched receive loop's scratch: the headers, iovecs,
+// sockaddrs and buffers one recvmmsg call fills, the packets unpacked
+// from them, and the last sender seen.
+type recvPass struct {
+	hdrs []mmsghdr
+	iovs []syscall.Iovec
+	sas  []syscall.RawSockaddrInet4
+	bufs [][]byte
+	pkts []Packet
+
+	lastSA   syscall.RawSockaddrInet4
+	lastFrom Addr // "" until the first datagram
+}
+
+func newRecvPass() *recvPass {
+	p := &recvPass{
+		hdrs: make([]mmsghdr, recvBatch),
+		iovs: make([]syscall.Iovec, recvBatch),
+		sas:  make([]syscall.RawSockaddrInet4, recvBatch),
+		bufs: make([][]byte, recvBatch),
+		pkts: make([]Packet, 0, recvBatch),
+	}
+	for i := range p.bufs {
+		p.bufs[i] = make([]byte, 2048) // > MaxDatagram, without 64 KiB per slot
+	}
+	return p
+}
+
+// arm points every header back at its buffer and sockaddr: the kernel
+// overwrote Namelen and Len on the previous pass.
+func (p *recvPass) arm() {
+	for i := range p.hdrs {
+		p.iovs[i].Base = &p.bufs[i][0]
+		p.iovs[i].SetLen(len(p.bufs[i]))
+		p.hdrs[i].Hdr = syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&p.sas[i])),
+			Namelen: syscall.SizeofSockaddrInet4,
+			Iov:     &p.iovs[i],
+			Iovlen:  1,
+		}
+		p.hdrs[i].Len = 0
+	}
+}
+
+// unpack turns the first n datagrams of a pass into packets addressed
+// to to. Their bytes are copied into one exactly-sized slice, each
+// packet a full-slice expression of it so that none can append into its
+// neighbour: one allocation a pass. A datagram whose sender's raw
+// sockaddr equals the one before reuses that sender's Addr — a relay's
+// stream has one sender, so its address is rendered once. The returned
+// slice is reused by the next call.
+func (p *recvPass) unpack(n int, to Addr, now time.Time) []Packet {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += p.size(i)
+	}
+	data := make([]byte, total)
+	p.pkts = p.pkts[:0]
+	for i, lo := 0, 0; i < n; i++ {
+		hi := lo + copy(data[lo:], p.bufs[i][:p.size(i)])
+		if sa := &p.sas[i]; p.lastFrom == "" || sa.Addr != p.lastSA.Addr || sa.Port != p.lastSA.Port {
+			p.lastSA, p.lastFrom = *sa, sockaddrToAddr(sa)
+		}
+		p.pkts = append(p.pkts, Packet{From: p.lastFrom, To: to, Data: data[lo:hi:hi], Recv: now})
+		lo = hi
+	}
+	return p.pkts
+}
+
+// size is datagram i's length, cut to its buffer when the datagram was
+// truncated.
+func (p *recvPass) size(i int) int {
+	return min(int(p.hdrs[i].Len), len(p.bufs[i]))
+}
+
 // readLoopBatched runs the recvmmsg receive loop for sock until the
 // socket closes. It reports false — telling the caller to run the
 // portable per-packet loop instead — only when the batched path
@@ -27,33 +102,15 @@ func (c *udpConn) readLoopBatched(sock *net.UDPConn, to Addr) bool {
 	if err != nil {
 		return false
 	}
-	hdrs := make([]mmsghdr, recvBatch)
-	iovs := make([]syscall.Iovec, recvBatch)
-	sas := make([]syscall.RawSockaddrInet4, recvBatch)
-	bufs := make([][]byte, recvBatch)
-	for i := range bufs {
-		bufs[i] = make([]byte, 2048) // > MaxDatagram, without 64 KiB per slot
-	}
+	p := newRecvPass()
 	probed := false
 	for {
-		// Re-arm every header: the kernel overwrote Namelen and Len on
-		// the previous pass.
-		for i := range hdrs {
-			iovs[i].Base = &bufs[i][0]
-			iovs[i].SetLen(len(bufs[i]))
-			hdrs[i].Hdr = syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&sas[i])),
-				Namelen: syscall.SizeofSockaddrInet4,
-				Iov:     &iovs[i],
-				Iovlen:  1,
-			}
-			hdrs[i].Len = 0
-		}
+		p.arm()
 		var n uintptr
 		var errno syscall.Errno
 		rerr := rc.Read(func(fd uintptr) bool {
 			n, _, errno = syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), recvBatch,
+				uintptr(unsafe.Pointer(&p.hdrs[0])), recvBatch,
 				syscall.MSG_DONTWAIT, 0, 0)
 			// false re-arms the read poller and retries when readable.
 			return errno != syscall.EAGAIN
@@ -71,20 +128,9 @@ func (c *udpConn) readLoopBatched(sock *net.UDPConn, to Addr) bool {
 		if n == 0 {
 			continue
 		}
-		now := time.Now()
 		c.recvBatches.Add(1)
 		c.recvPackets.Add(int64(n))
-		for i := 0; i < int(n); i++ {
-			ln := int(hdrs[i].Len)
-			if ln > len(bufs[i]) {
-				ln = len(bufs[i]) // truncated oversize datagram
-			}
-			pkt := Packet{
-				From: sockaddrToAddr(&sas[i]),
-				To:   to,
-				Data: append([]byte(nil), bufs[i][:ln]...),
-				Recv: now,
-			}
+		for _, pkt := range p.unpack(int(n), to, time.Now()) {
 			if !c.deliver(pkt) {
 				return true
 			}

@@ -24,16 +24,24 @@ import (
 // cursor in the past and a pause stops it, and either is then fed at
 // Config.DVRBurst packets per second until cursor == head. There is no
 // second structure to hand over to, so there is no seam: fanout appends
-// and wakes the shard workers, and one gather loop serves every kind of
+// and wakes the shard workers, and one gather loop — run by a worker, or
+// by fanout itself for the chained lessees — serves every kind of
 // subscriber.
 //
-// A packet's fan-out goes in rounds, subtree feeds first. Within a
-// shard the chained lessees (downstream relays) lead the order
-// (shard.place), fanout wakes the shards holding one first, and a worker
-// yields after every full batch, so each shard's first batch goes out
-// before any shard's second: a downstream relay's copy, which every
-// listener behind it waits on, never waits for other shards' whole
-// passes.
+// A packet's fan-out starts with the subtree feeds. Within a shard the
+// chained lessees (downstream relays) lead the order (shard.place), and
+// fanout gathers and sends their copies itself, on the receive
+// goroutine, before it wakes any worker: a downstream relay's copy,
+// which every listener behind it waits on, waits for no wake-up and no
+// other shard's batch. The workers then go in rounds — a worker yields
+// after every full batch, so each shard's first batch goes out before
+// any shard's second.
+//
+// Two goroutines may so gather for one subscriber, and FIFO on the wire
+// is kept by one rule: a subscriber's datagrams sit in at most one
+// unflushed batch (subscriber.inflight). A gather skips a subscriber
+// another batch holds; flush releases it, and the goroutine that owns
+// the batch, or the wake that follows fanout's own send, serves the rest.
 //
 // The last QueueLen entries are held by reference with the per-tier
 // payloads buildProfilePayloads encoded on the receive path, so live
@@ -171,11 +179,11 @@ func (r *Relay) goLive(sub *subscriber) {
 	r.seq.mu.Unlock()
 }
 
-// fanout appends one upstream packet to the arrival sequence and wakes
-// the shard workers. ch is the packet's channel id (already parsed by
+// fanout appends one upstream packet to the arrival sequence, sends the
+// chained lessees' copies (serveLead) and wakes the shard workers for
+// everyone else. ch is the packet's channel id (already parsed by
 // handlePacket). The per-tier variants are built first, once per active
-// tier and outside every lock; no subscriber is touched here — each
-// one's worker finds the entry at its cursor.
+// tier and outside every lock.
 func (r *Relay) fanout(ch uint32, data []byte) {
 	e := &entry{ch: ch, at: time.Now(), payloads: r.buildProfilePayloads(ch, data)}
 	s := &r.seq
@@ -189,17 +197,44 @@ func (r *Relay) fanout(ch uint32, data []byte) {
 	s.win[e.seq%uint64(len(s.win))].Store(e)
 	s.head.Store(e.seq + 1)
 	s.mu.Unlock()
-	// The shards holding a chained lessee are woken first: their first
-	// batch opens with a downstream relay's copy (shard.place).
-	for _, lead := range [2]bool{true, false} {
-		for _, sh := range r.shards {
-			sh.mu.Lock()
-			if len(sh.order) > 0 && (sh.lead > 0) == lead {
-				sh.work.Broadcast()
-			}
-			sh.mu.Unlock()
-		}
+	for _, sh := range r.shards {
+		r.serveLead(sh)
 	}
+	// The wake comes after every lead flush, so a worker whose gather
+	// skipped a lessee that fanout's batch held serves it now.
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		if len(sh.order) > 0 {
+			sh.work.Broadcast()
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// serveLead takes one gather pass over sh's chained lessees on the
+// calling goroutine and flushes it, counted as a quiesce flush: the
+// worker's cursors, accounting and flush, in the shard's lead batch. A
+// UDP send has no per-destination back-pressure, so only a full local
+// send buffer can block it, and that blocks every worker alike.
+func (r *Relay) serveLead(sh *shard) {
+	sh.mu.Lock()
+	b := sh.leadBatch
+	if sh.lead == 0 || sh.stopped || b == nil {
+		// nil: another fanout is sending it, and the lessees it holds
+		// are its to serve; the worker, woken next, serves anyone else.
+		sh.mu.Unlock()
+		return
+	}
+	sh.leadBatch = nil
+	b.dgs, b.owners = b.dgs[:0], b.owners[:0]
+	r.gather(sh, b)
+	sh.mu.Unlock()
+	if len(b.dgs) > 0 {
+		r.flush(sh, b.dgs, b.owners, flushQuiesce)
+	}
+	sh.mu.Lock()
+	sh.leadBatch = b
+	sh.mu.Unlock()
 }
 
 // seek moves a live cursor to the next entry its filter delivers and
@@ -381,29 +416,44 @@ type batch struct {
 	// ring: a buffer per batch position, reused only after the flush, so
 	// backlog packets gathered into one batch never alias.
 	slots [][]byte
+	// lead marks a shard's lead batch (serveLead): it walks the
+	// chained lessees only, and leaves a replaying or paused cursor to
+	// the worker, which paces it.
+	lead bool
 }
 
-// gather walks the shard once, taking at most one packet per subscriber
-// — round-robin, so a deep backlog cannot starve its neighbours, and
-// FIFO per subscriber because a cursor only moves forward. It reports
+// gather walks the shard once (a lead batch: its chained lessees),
+// taking at most one packet per subscriber — round-robin, so a deep
+// backlog cannot starve its neighbours, and FIFO per subscriber because
+// a cursor only moves forward and its datagrams sit in one unflushed
+// batch at a time (subscriber.inflight). It reports
 // whether it took anything (a pass that takes nothing has left every
-// cursor at the head, paused, or out of tokens) and, for the last case,
-// the shortest refill delay, so the worker can sleep exactly that long.
-// Caller holds sh.mu.
+// cursor at the head, paused, or out of tokens — or held by another
+// goroutine's batch) and, for the out-of-tokens case, the shortest
+// refill delay, so the worker can sleep exactly that long. Caller holds
+// sh.mu.
 func (r *Relay) gather(sh *shard, b *batch) (progress bool, wait time.Duration) {
 	p := pass{now: r.clock.Now(), wall: time.Now()}
 	before, head := len(b.dgs), r.seq.head.Load()
-	for _, sub := range sh.order {
+	subs := sh.order
+	if b.lead {
+		subs = sh.order[:sh.lead]
+	}
+	for _, sub := range subs {
 		if len(b.dgs) >= len(b.slots) {
 			break
 		}
 		if sub.cursor >= head && !sub.replay {
 			continue // the common case, without the calls: live and up to date
 		}
+		if sub.inflight != nil && sub.inflight != b || sub.replay && b.lead {
+			continue // its last packet waits in another batch (FIFO), or the worker paces it
+		}
 		data, w := r.next(sh, sub, &b.slots[len(b.dgs)], &p)
 		if data != nil {
 			b.dgs = append(b.dgs, lan.Datagram{To: sub.addr, Data: data})
 			b.owners = append(b.owners, sub)
+			sub.inflight = b
 			// next hands a replay cursor recorded history only: one that
 			// has left replay was served from the live window.
 			b.live = b.live || !sub.replay
@@ -547,14 +597,20 @@ func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigg
 		sort.Stable(byDest{dgs: dgs, owners: owners})
 	}
 	var sent, errs int64
+	all := owners
 	for len(dgs) > 0 {
 		n, err := lan.WriteBatch(r.conn, dgs)
-		if n > len(dgs) {
-			n = len(dgs) // defensive: prefix contract
-		}
+		n = min(n, len(dgs)) // defensive: prefix contract
 		sh.mu.Lock()
 		for _, sub := range owners[:n] {
 			sub.sent++
+		}
+		if err == nil || n+1 >= len(dgs) {
+			// Every datagram is sent or skipped: the batch's subscribers
+			// are free to be gathered into another.
+			for _, sub := range all {
+				sub.inflight = nil
+			}
 		}
 		sh.sent += int64(n)
 		sh.mu.Unlock()

@@ -57,7 +57,17 @@ func gatherOnce(r *Relay, addr lan.Addr, b *batch) (int, time.Duration) {
 	defer sh.mu.Unlock()
 	before := len(b.dgs)
 	_, wait := r.gather(sh, b)
+	settle(b)
 	return len(b.dgs) - before, wait
+}
+
+// settle releases a batch gathered by hand, as flush would once it had
+// sent it, so the next gather may take its subscribers again. Caller
+// holds the shard's lock.
+func settle(b *batch) {
+	for _, sub := range b.owners {
+		sub.inflight = nil
+	}
 }
 
 // drainCatchup gathers by hand until the subscriber converges on live
@@ -804,6 +814,42 @@ func TestDeliveryInvariants(t *testing.T) {
 			reader.Wait()
 			r.Stop()
 		})
+	}
+}
+
+// TestDeliveryInvariantsChained: chained lessees are served by whichever
+// goroutine fans a packet out and by their shard's worker, with two
+// injectors appending at once and the socket stalled for a while, so
+// the lead batch is contended and a lessee's packet is often held by
+// another batch. Each lessee, and each speaker beside them, still gets
+// every packet once, in order.
+func TestDeliveryInvariantsChained(t *testing.T) {
+	const n = 400
+	conn := newRecordConn()
+	r, err := New(vclock.System, conn, Config{Group: testGroup, Shards: 1, Batch: 4, QueueLen: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Run()
+	defer r.Stop()
+	g := &deliveryRig{t: t, r: r, conn: conn, sent: make(map[uint32]int)}
+	lessees := []lan.Addr{"10.0.2.1:5006", "10.0.2.2:5006"}
+	for _, addr := range lessees {
+		r.Inject(hopsPkt(t, addr, 1, 60_000))
+	}
+	g.join("10.0.0.2:5004", 0, 0, codec.ProfileSource)
+	g.stream(1, n, func() {
+		time.Sleep(time.Millisecond)
+		release := conn.stall()
+		time.Sleep(2 * time.Millisecond)
+		release()
+	})
+	g.settled()
+	r.Stop()
+	for _, addr := range append(lessees, "10.0.0.2:5004") {
+		g.contiguous(addr, 1, 1, n)
+		g.contiguous(addr, 2, 1, n)
+		g.accounted(addr, 1, 2)
 	}
 }
 

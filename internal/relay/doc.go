@@ -16,8 +16,10 @@
 // Config.QueueLen of them by reference, and a subscriber is a position
 // in that numbering plus a channel filter, a tier, and a pacing bucket
 // — the per-listener object is the lease, never a copy of the stream.
-// The receive loop appends and wakes the shards; it touches no
-// subscriber, so a slow or dead unicast path cannot stall it. A live
+// The receive loop appends, sends at most one batch of chained-lessee
+// copies per shard holding one, and wakes the shards. A UDP send has no
+// per-destination back-pressure, so only a full local send buffer can
+// block that send, and such a buffer blocks every worker alike. A live
 // subscriber is a cursor with zero lag; one that falls more than
 // QueueLen behind is clamped forward and the jump counted as queue-full
 // drops. With Config.DVR the same indexes address a deep ring
@@ -28,14 +30,17 @@
 // round-robin into lan.Datagram batches and flush them with one
 // WriteBatch call (sendmmsg on Linux) when the batch fills or the
 // moment a pass takes nothing more — a live packet never waits on a
-// timer. A pass goes in rounds, subtree feeds first: the chained
-// lessees (Hops ≥ 1) lead their shard's order, the shards holding one
-// are woken first, and a worker with more to send yields after each
-// full batch, so the shards interleave batch by batch. Every worker
-// writes to the relay's one socket, in parallel (lan.WriteBatch takes
-// no lock there), so all data leaves from the address subscribers
-// leased at. Only a batch of replayed packets whose subscribers are out
-// of tokens is held, for the flush interval at most.
+// timer. Subtree feeds go first: the chained lessees (Hops ≥ 1) lead
+// their shard's order, and the receive loop sends their copies itself
+// before it wakes any worker, so a downstream relay's copy waits for no
+// scheduler wake-up. A worker with more to send yields after each full
+// batch, so the shards interleave batch by batch. Whichever goroutine
+// gathers, a subscriber's datagrams sit in at most one unflushed batch
+// at a time, which keeps each subscriber's stream FIFO on the wire.
+// Every sender writes to the relay's one socket, in parallel
+// (lan.WriteBatch takes no lock there), so all data leaves from the
+// address subscribers leased at. Only a batch of replayed packets whose
+// subscribers are out of tokens is held, for the flush interval at most.
 //
 // Relays chain: a Relay configured with an Upstream address is itself
 // a subscriber — it leases the stream from another relay (through the

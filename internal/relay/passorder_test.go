@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,10 +69,10 @@ func fanOutOrder(sh *shard) ([]lan.Addr, int) {
 }
 
 // TestChainedLesseeLeadsShard: a downstream relay (Hops ≥ 1) that joins
-// after ten speakers is first in its shard's pass — its copy opens the
-// first WriteBatch of the next packet; a refresh to Hops 0 puts it back
-// among the speakers at its join position, and a cancel or an expiry
-// keeps the lead count exact.
+// after ten speakers is first in its shard's pass — its copy leaves in
+// a WriteBatch of its own, written by Inject before any shard worker is
+// woken; a refresh to Hops 0 puts it back among the speakers at its join
+// position, and a cancel or an expiry keeps the lead count exact.
 func TestChainedLesseeLeadsShard(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	seg := lan.NewSegment(sim, lan.SegmentConfig{})
@@ -102,43 +103,52 @@ func TestChainedLesseeLeadsShard(t *testing.T) {
 	expect("joined", append([]lan.Addr{relayB}, speakers...), 1)
 
 	var seq uint64
-	// pass sends the next packet and returns every stream batch it
-	// took, concatenated, and the first batch's first destination.
-	pass := func() (all []lan.Addr, first lan.Addr) {
+	// pass injects the next packet and returns every stream batch it
+	// took, concatenated, the first batch's first destination, and the
+	// first batch written, which Inject writes itself when a chained
+	// lessee is owed the packet: the workers are woken after it.
+	pass := func() (all []lan.Addr, first lan.Addr, lead []lan.Addr) {
 		log.take()
 		seq++
 		dp, err := (&proto.Data{Channel: 1, Epoch: 1, Seq: seq, Payload: []byte{9}}).Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.handlePacket(lan.Packet{From: "10.0.0.9:5000", To: testGroup, Data: dp})
+		r.Inject(lan.Packet{From: "10.0.0.9:5000", To: testGroup, Data: dp})
+		batches := log.take()
+		if len(batches) > 0 {
+			lead = batches[0]
+		}
 		sim.Sleep(time.Millisecond)
-		for _, b := range log.take() {
+		for _, b := range append(batches, log.take()...) {
 			all = append(all, b...)
 		}
 		if len(all) > 0 {
 			first = all[0]
 		}
-		return all, first
+		return all, first, lead
 	}
 	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
 		defer r.Stop()
-		if all, first := pass(); first != relayB || !slices.Equal(all, append([]lan.Addr{relayB}, speakers...)) {
+		sim.Sleep(time.Millisecond) // the workers park
+		if all, first, lead := pass(); first != relayB || !slices.Equal(all, append([]lan.Addr{relayB}, speakers...)) {
 			t.Errorf("pass with a chained lessee: first %s, sent %v; want %s first, then the speakers", first, all, relayB)
+		} else if !slices.Equal(lead, []lan.Addr{relayB}) {
+			t.Errorf("pass with a chained lessee: Inject wrote %v first, want the chained lessee alone", lead)
 		}
 
 		r.handleRequest(hopsPkt(t, relayB, 0, 60_000))
 		sim.Sleep(time.Millisecond)
 		expect("refreshed to Hops 0", append(slices.Clone(speakers), relayB), 0)
-		if _, first := pass(); first != speakers[0] {
+		if _, first, _ := pass(); first != speakers[0] {
 			t.Errorf("after the refresh to Hops 0 the pass opens with %s, want %s", first, speakers[0])
 		}
 
 		r.handleRequest(hopsPkt(t, relayB, 2, 60_000))
 		sim.Sleep(time.Millisecond)
 		expect("refreshed to Hops 2", append([]lan.Addr{relayB}, speakers...), 1)
-		if _, first := pass(); first != relayB {
+		if _, first, _ := pass(); first != relayB {
 			t.Errorf("after the refresh to Hops 2 the pass opens with %s, want %s", first, relayB)
 		}
 
@@ -152,10 +162,13 @@ func TestChainedLesseeLeadsShard(t *testing.T) {
 		r.handleRequest(hopsPkt(t, relayC, 1, 60_000))
 		sim.Sleep(time.Millisecond)
 		expect("two chained lessees", append([]lan.Addr{relayB, relayC}, speakers...), 2)
+		if _, _, lead := pass(); !slices.Equal(lead, []lan.Addr{relayB, relayC}) {
+			t.Errorf("two chained lessees: Inject wrote %v first, want both, alone", lead)
+		}
 		sim.Sleep(3 * time.Second)
 		expect("one expired", append([]lan.Addr{relayC}, speakers...), 1)
-		if _, first := pass(); first != relayC {
-			t.Errorf("after the expiry the pass opens with %s, want %s", first, relayC)
+		if _, first, lead := pass(); first != relayC || !slices.Equal(lead, []lan.Addr{relayC}) {
+			t.Errorf("after the expiry the pass opens with %s in %v, want %s alone", first, lead, relayC)
 		}
 	})
 	sim.WaitIdle()
@@ -294,4 +307,154 @@ func shardSequence(r *Relay, batches [][]lan.Addr) []int {
 		out[i] = r.shardFor(b[0]).index
 	}
 	return out
+}
+
+// holdConn is a recordConn whose WriteBatch blocks on the batch that
+// carries Data seq hold: it closes entered and waits for release.
+type holdConn struct {
+	*recordConn
+	hold             uint64
+	entered, release chan struct{}
+}
+
+func (c *holdConn) WriteBatch(dgs []lan.Datagram) (int, error) {
+	for _, d := range dgs {
+		if typ, _, _ := proto.PeekType(d.Data); typ == proto.TypeData {
+			if dp, err := proto.UnmarshalData(d.Data); err == nil && dp.Seq == c.hold {
+				close(c.entered)
+				<-c.release
+				break
+			}
+		}
+	}
+	return c.recordConn.WriteBatch(dgs)
+}
+
+// TestFIFOAcrossTwoSenders: the shard worker has a lessee's packet k
+// gathered and is blocked sending it when the lessee becomes a chained
+// one and k+1 and k+2 arrive, so fanout's own send could overtake the
+// worker's. The lessee still receives k, k+1, k+2 in order, once each:
+// a subscriber's datagrams are in one unsent batch at a time.
+func TestFIFOAcrossTwoSenders(t *testing.T) {
+	const lessee = lan.Addr("10.0.2.1:5006")
+	conn := &holdConn{recordConn: newRecordConn(), hold: 1, entered: make(chan struct{}), release: make(chan struct{})}
+	r, err := New(vclock.System, conn, Config{Group: testGroup, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Run()
+	defer r.Stop()
+	inject := func(seq uint64) {
+		r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dataPkt(t, 1, 1, seq, 32)})
+	}
+	r.Inject(hopsPkt(t, lessee, 0, 60_000)) // a speaker: the worker serves it
+	inject(1)
+	select {
+	case <-conn.entered: // the worker is in flush with packet 1
+	case <-time.After(5 * time.Second):
+		t.Fatal("packet 1 was never sent")
+	}
+	r.Inject(hopsPkt(t, lessee, 1, 60_000)) // now a chained lessee: fanout serves it too
+	inject(2)
+	inject(3)
+	close(conn.release)
+	seqs := func() []uint64 {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return slices.Clone(conn.seqs[lessee][1])
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if len(seqs()) >= 3 && r.Stats().FanoutSent >= 3 {
+			break
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // room for a duplicate to show
+	if got := seqs(); !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Errorf("lessee received seqs %v, want [1 2 3]", got)
+	}
+	if st := r.Stats(); st.FanoutSent != 3 {
+		t.Errorf("Stats counts %d sends, want 3", st.FanoutSent)
+	}
+}
+
+// countConn is a relay socket that counts the stream datagrams written
+// to it and keeps nothing.
+type countConn struct {
+	*recordConn
+	sent atomic.Int64
+}
+
+func (c *countConn) WriteBatch(dgs []lan.Datagram) (int, error) {
+	if typ, _, _ := proto.PeekType(dgs[0].Data); typ == proto.TypeData {
+		c.sent.Add(int64(len(dgs)))
+	}
+	return len(dgs), nil
+}
+
+// injectRig runs a relay on a countConn with 32 speakers and one more
+// subscriber, a chained lessee or a 33rd speaker, and returns a function
+// that injects one Data packet and waits until all 33 copies are written.
+func injectRig(tb testing.TB, chained bool) (inject func(), stop func()) {
+	tb.Helper()
+	conn := &countConn{recordConn: newRecordConn()}
+	r, err := New(vclock.System, conn, Config{Group: testGroup})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const speakers = 32
+	for i := 1; i <= speakers; i++ {
+		r.subscribe(lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)), &proto.Subscribe{}, time.Hour)
+	}
+	var hops uint8
+	if chained {
+		hops = 1
+	}
+	r.subscribe("10.0.2.1:5006", &proto.Subscribe{Hops: hops}, time.Hour)
+	go r.Run()
+	dp, err := (&proto.Data{Channel: 1, Epoch: 1, Seq: 1, Payload: make([]byte, 320)}).Marshal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pkt := lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dp}
+	var want int64
+	return func() {
+		want += speakers + 1
+		r.Inject(pkt)
+		for conn.sent.Load() < want {
+			runtime.Gosched()
+		}
+	}, r.Stop
+}
+
+// TestInjectChainedAllocatesNothingMore: fanout's own send for a chained
+// lessee reuses its shard's lead batch, so a packet costs the relay no
+// more allocations with a downstream relay among its subscribers than
+// with a speaker in its place.
+func TestInjectChainedAllocatesNothingMore(t *testing.T) {
+	perPacket := func(chained bool) float64 {
+		inject, stop := injectRig(t, chained)
+		defer stop()
+		inject() // the workers start and park
+		return testing.AllocsPerRun(500, inject)
+	}
+	speakers, chained := perPacket(false), perPacket(true)
+	if chained > speakers {
+		t.Errorf("a packet allocates %v times with a chained lessee, %v with 33 speakers; want no more", chained, speakers)
+	}
+	t.Logf("allocations per packet: 33 speakers %v, 32 speakers and a chained lessee %v", speakers, chained)
+}
+
+// BenchmarkInjectChained prices one packet through a relay whose 33
+// subscribers include a chained lessee, from Inject until every copy is
+// written: the append, the chained lessee's send from the injecting
+// goroutine, and the shard workers' batches.
+func BenchmarkInjectChained(b *testing.B) {
+	inject, stop := injectRig(b, true)
+	defer stop()
+	inject()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inject()
+	}
 }

@@ -412,6 +412,10 @@ type subscriber struct {
 	shiftMs  uint32
 	tokens   float64
 	tokensAt time.Time
+	// inflight is the unflushed batch holding this subscriber's
+	// datagrams, nil when none does: set by gather, cleared by flush, so
+	// whichever goroutine gathers, one batch at a time carries them.
+	inflight *batch
 }
 
 // shard is one slice of the subscriber table with its own fan-out
@@ -429,6 +433,10 @@ type shard struct {
 	lead    int
 	joins   uint64 // subscribers ever inserted: the next one's join stamp
 	stopped bool
+	// leadBatch is the batch fanout sends the chained lessees' copies
+	// in (serveLead); nil while one goroutine has it out, because
+	// Inject callers may fan out beside Run.
+	leadBatch *batch
 
 	// Per-shard pressure accounting (satellite to the lumped Stats
 	// totals): a hot shard shows up here before it shows up anywhere.
@@ -619,7 +627,12 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 	r.workersIdle = clock.NewCond()
 	r.admitCond = clock.NewCond()
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{index: i, subs: make(map[lan.Addr]*subscriber)}
+		sh := &shard{index: i, subs: make(map[lan.Addr]*subscriber), leadBatch: &batch{
+			dgs:    make([]lan.Datagram, 0, cfg.Batch),
+			owners: make([]*subscriber, 0, cfg.Batch),
+			slots:  make([][]byte, cfg.Batch),
+			lead:   true,
+		}}
 		sh.work = clock.NewCond()
 		r.shards = append(r.shards, sh)
 	}

@@ -94,6 +94,7 @@ func drain(r *Relay) map[lan.Addr][][]byte {
 				break
 			}
 		}
+		settle(b)
 		sh.mu.Unlock()
 		for _, d := range b.dgs {
 			out[d.To] = append(out[d.To], d.Data)

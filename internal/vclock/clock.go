@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -95,18 +96,36 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 func (Real) NewCond() Cond { return &realCond{} }
 
 // realCond implements Cond over channels so that timed waits compose with
-// the real clock.
+// the real clock. A waiter parks on a one-slot channel of its own, and
+// the channels are recycled through free: a channel is empty again once
+// its waiter has received the signal, or has timed out and been removed
+// before any signal, or has drained the signal that raced its timeout.
+// A Signal/Wait round trip therefore allocates nothing once the cond
+// has had as many waiters at once as it ever will.
 type realCond struct {
 	mu      sync.Mutex
-	waiters []chan struct{}
+	waiters []chan struct{} // FIFO: Signal wakes the first
+	free    []chan struct{} // empty channels for the next waiters
 }
 
 func (c *realCond) enqueue() chan struct{} {
-	ch := make(chan struct{}, 1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	var ch chan struct{}
+	if n := len(c.free); n > 0 {
+		ch, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
+	}
 	c.waiters = append(c.waiters, ch)
-	c.mu.Unlock()
 	return ch
+}
+
+// recycle returns a waiter's channel, empty, to the free list.
+func (c *realCond) recycle(ch chan struct{}) {
+	c.mu.Lock()
+	c.free = append(c.free, ch)
+	c.mu.Unlock()
 }
 
 // remove drops ch from the waiter list if it is still queued. It reports
@@ -114,11 +133,9 @@ func (c *realCond) enqueue() chan struct{} {
 func (c *realCond) remove(ch chan struct{}) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, w := range c.waiters {
-		if w == ch {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return false
-		}
+	if i := slices.Index(c.waiters, ch); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
+		return false
 	}
 	// Not found: a Signal/Broadcast already claimed it.
 	return true
@@ -128,6 +145,7 @@ func (c *realCond) Wait(l sync.Locker) {
 	ch := c.enqueue()
 	l.Unlock()
 	<-ch
+	c.recycle(ch)
 	l.Lock()
 }
 
@@ -135,6 +153,7 @@ func (c *realCond) WaitTimeout(l sync.Locker, d time.Duration) bool {
 	ch := c.enqueue()
 	l.Unlock()
 	defer l.Lock()
+	defer c.recycle(ch)
 	select {
 	case <-ch:
 		return true
@@ -154,9 +173,8 @@ func (c *realCond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	ch := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	ch <- struct{}{}
+	c.waiters[0] <- struct{}{}
+	c.waiters = slices.Delete(c.waiters, 0, 1)
 }
 
 func (c *realCond) Broadcast() {
@@ -165,5 +183,5 @@ func (c *realCond) Broadcast() {
 	for _, ch := range c.waiters {
 		ch <- struct{}{}
 	}
-	c.waiters = nil
+	c.waiters = slices.Delete(c.waiters, 0, len(c.waiters))
 }
