@@ -263,7 +263,11 @@ func TestCatalogAnnouncesAndStops(t *testing.T) {
 	recv.Join("239.72.0.1:5003")
 	var anns []*proto.Announce
 	sim.Go("capture", func() {
-		for {
+		// However capture ends, the catalog stops with it, or WaitIdle
+		// would never return.
+		defer cat.Stop()
+		defer recv.Close()
+		for len(anns) < 3 {
 			pkt, err := recv.Recv(time.Second)
 			if err != nil {
 				return
@@ -274,11 +278,6 @@ func TestCatalogAnnouncesAndStops(t *testing.T) {
 				return
 			}
 			anns = append(anns, a)
-			if len(anns) == 3 {
-				cat.Stop()
-				recv.Close()
-				return
-			}
 		}
 	})
 	sim.Go("catalog", cat.Run)
@@ -311,7 +310,11 @@ func TestCatalogAnnouncesRelays(t *testing.T) {
 	recv.Join("239.72.0.1:5003")
 	var anns []*proto.Announce
 	sim.Go("capture", func() {
-		for {
+		// However capture ends, the catalog stops with it, or WaitIdle
+		// would never return.
+		defer cat.Stop()
+		defer recv.Close()
+		for len(anns) < 3 {
 			pkt, err := recv.Recv(time.Second)
 			if err != nil {
 				return
@@ -325,11 +328,6 @@ func TestCatalogAnnouncesRelays(t *testing.T) {
 			if len(anns) == 2 {
 				// Relay removal must take effect on the next announce.
 				cat.RemoveRelay("10.0.0.8:5006")
-			}
-			if len(anns) == 3 {
-				cat.Stop()
-				recv.Close()
-				return
 			}
 		}
 	})

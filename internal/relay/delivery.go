@@ -31,11 +31,13 @@ import (
 // A packet's fan-out starts with the subtree feeds. Within a shard the
 // chained lessees (downstream relays) lead the order (shard.place), and
 // fanout gathers and sends their copies itself, on the receive
-// goroutine, before it wakes any worker: a downstream relay's copy,
-// which every listener behind it waits on, waits for no wake-up and no
-// other shard's batch. The workers then go in rounds — a worker yields
-// after every full batch, so each shard's first batch goes out before
-// any shard's second.
+// goroutine, before it encodes any tier or wakes any worker: a
+// downstream relay's copy, which every listener behind it waits on,
+// waits for no transcode, no wake-up and no other shard's batch. A
+// chained lessee on a tier other than the source is the exception: its
+// copy waits for its encode, and its worker sends it. The workers then
+// go in rounds — a worker yields after every full batch, so each shard's
+// first batch goes out before any shard's second.
 //
 // Two goroutines may so gather for one subscriber, and FIFO on the wire
 // is kept by one rule: a subscriber's datagrams sit in at most one
@@ -44,17 +46,23 @@ import (
 // the batch, or the wake that follows fanout's own send, serves the rest.
 //
 // The last QueueLen entries are held by reference with the per-tier
-// payloads buildProfilePayloads encoded on the receive path, so live
-// delivery copies nothing. With Config.DVR the same indexes address a
-// dvr.Ring holding the deep history; a cursor placed behind reads from
-// it into a buffer owned by the batch slot it fills.
+// payloads buildProfilePayloads encoded on the receive path once the
+// source-tier copies had left, so live delivery copies nothing. With
+// Config.DVR the same indexes address a dvr.Ring holding the deep
+// history; a cursor placed behind reads from it into a buffer owned by
+// the batch slot it fills.
 
-// entry is one accepted upstream packet. It is immutable once published.
+// entry is one accepted upstream packet. It is published with its source
+// payload only; fanout then writes the tier variants and sets tiered, and
+// the entry is immutable from there on.
 type entry struct {
 	seq      uint64          // index in the arrival sequence
 	ch       uint32          // channel id
 	at       time.Time       // arrival on the process clock, for residency
-	payloads profilePayloads // wire variants per tier; nil falls back to the source's
+	payloads profilePayloads // wire variants per tier; nil falls back to the source's once tiered
+	// tiered is set once the tier slots are written: a cursor on a tier
+	// other than the source stops short of an entry without it (next).
+	tiered atomic.Bool
 }
 
 // sequence is the relay's arrival sequence. Appenders (Run, and Inject
@@ -180,12 +188,16 @@ func (r *Relay) goLive(sub *subscriber) {
 }
 
 // fanout appends one upstream packet to the arrival sequence, sends the
-// chained lessees' copies (serveLead) and wakes the shard workers for
-// everyone else. ch is the packet's channel id (already parsed by
-// handlePacket). The per-tier variants are built first, once per active
-// tier and outside every lock.
+// chained lessees' copies (serveLead), builds the per-tier variants and
+// wakes the shard workers for everyone else. ch is the packet's channel
+// id (already parsed by handlePacket). The entry is published with its
+// source payload alone, so a downstream relay's copy leaves before any
+// tier is encoded; the encodes follow, once per active tier and outside
+// every lock but txMu, and a tier subscriber's cursor waits for them
+// (entry.tiered).
 func (r *Relay) fanout(ch uint32, data []byte) {
-	e := &entry{ch: ch, at: time.Now(), payloads: r.buildProfilePayloads(ch, data)}
+	e := &entry{ch: ch, at: time.Now()}
+	e.payloads[codec.ProfileSource] = data
 	s := &r.seq
 	s.mu.Lock()
 	e.seq = s.head.Load()
@@ -200,8 +212,11 @@ func (r *Relay) fanout(ch uint32, data []byte) {
 	for _, sh := range r.shards {
 		r.serveLead(sh)
 	}
+	r.buildProfilePayloads(ch, data, &e.payloads)
+	e.tiered.Store(true)
 	// The wake comes after every lead flush, so a worker whose gather
-	// skipped a lessee that fanout's batch held serves it now.
+	// skipped a lessee that fanout's batch held serves it now, and after
+	// the tier variants, so one that stopped at this entry for them does.
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		if len(sh.order) > 0 {
@@ -348,16 +363,18 @@ type pass struct {
 // next takes the next packet owed to sub, returning its wire bytes, or
 // nil and — when only an empty token bucket stands in the way — how
 // long until a token is due. A live cursor is handed the window's entry
-// by reference. A replay cursor reads the recorded history instead, into
-// *slot, transcoded for the subscriber's tier on demand; one the ring
-// wrapped past restarts at its oldest entry and is counted; one that
-// reaches the head is live from the next packet on. Caller holds sh.mu.
+// by reference; one on a tier other than the source stops, its cursor
+// unchanged, at an entry whose tier variants fanout is still building.
+// A replay cursor reads the recorded history instead, into *slot,
+// transcoded for the subscriber's tier on demand; one the ring wrapped
+// past restarts at its oldest entry and is counted; one that reaches
+// the head is live from the next packet on. Caller holds sh.mu.
 func (r *Relay) next(sh *shard, sub *subscriber, slot *[]byte, p *pass) ([]byte, time.Duration) {
 	for !sub.paused {
 		if !sub.replay {
 			e := r.seek(sh, sub)
-			if e == nil {
-				break
+			if e == nil || sub.profile != codec.ProfileSource && !e.tiered.Load() {
+				break // at the head, or this tier's variant is not built yet: fanout's wake follows it
 			}
 			sub.cursor, sub.passed = sub.cursor+1, sub.passed+1
 			r.queueResidency.Observe(p.wall.Sub(e.at))

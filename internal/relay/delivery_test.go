@@ -2,6 +2,7 @@ package relay
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -436,17 +437,19 @@ func TestPauseReplayAndWrongChannelIgnored(t *testing.T) {
 type recordConn struct {
 	done chan struct{}
 
-	mu   sync.Mutex
-	gate chan struct{}                    // non-nil while stalled; closed to release
-	pkts map[lan.Addr]map[uint32]int      // stream packets received, by channel
-	seqs map[lan.Addr]map[uint32][]uint64 // Data seqs in arrival order, by channel
+	mu     sync.Mutex
+	gate   chan struct{}                    // non-nil while stalled; closed to release
+	pkts   map[lan.Addr]map[uint32]int      // stream packets received, by channel
+	seqs   map[lan.Addr]map[uint32][]uint64 // Data seqs in arrival order, by channel
+	epochs map[lan.Addr]map[uint32]int      // Data packets received, by epoch
 }
 
 func newRecordConn() *recordConn {
 	return &recordConn{
-		done: make(chan struct{}),
-		pkts: make(map[lan.Addr]map[uint32]int),
-		seqs: make(map[lan.Addr]map[uint32][]uint64),
+		done:   make(chan struct{}),
+		pkts:   make(map[lan.Addr]map[uint32]int),
+		seqs:   make(map[lan.Addr]map[uint32][]uint64),
+		epochs: make(map[lan.Addr]map[uint32]int),
 	}
 }
 
@@ -489,6 +492,7 @@ func (c *recordConn) WriteBatch(dgs []lan.Datagram) (int, error) {
 		if c.pkts[d.To] == nil {
 			c.pkts[d.To] = make(map[uint32]int)
 			c.seqs[d.To] = make(map[uint32][]uint64)
+			c.epochs[d.To] = make(map[uint32]int)
 		}
 		c.pkts[d.To][ch]++
 		if typ == proto.TypeData {
@@ -497,6 +501,7 @@ func (c *recordConn) WriteBatch(dgs []lan.Datagram) (int, error) {
 				return 0, err
 			}
 			c.seqs[d.To][ch] = append(c.seqs[d.To][ch], dp.Seq)
+			c.epochs[d.To][dp.Epoch]++
 		}
 	}
 	return len(dgs), nil
@@ -850,6 +855,44 @@ func TestDeliveryInvariantsChained(t *testing.T) {
 		g.contiguous(addr, 1, 1, n)
 		g.contiguous(addr, 2, 1, n)
 		g.accounted(addr, 1, 2)
+	}
+}
+
+// TestDeliveryInvariantsTiers: fanout sends the source-tier copies before
+// it encodes the tiers, so with two injectors appending at once a tier
+// subscriber's worker keeps meeting entries whose variants are still
+// being built. A subscriber on each tier still gets every packet once,
+// in order, and every Data packet at its own tier: under the tier's
+// derived epoch, never the source's.
+func TestDeliveryInvariantsTiers(t *testing.T) {
+	const n = 200
+	conn := newRecordConn()
+	r, err := New(vclock.System, conn, Config{Group: testGroup, QueueLen: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Run()
+	defer r.Stop()
+	g := &deliveryRig{t: t, r: r, conn: conn, sent: make(map[uint32]int)}
+	profiles := []codec.Profile{codec.ProfileSource, codec.ProfileULaw, codec.ProfileOVLHigh, codec.ProfileOVLLow}
+	addr := func(p codec.Profile) lan.Addr { return lan.Addr(fmt.Sprintf("10.0.3.%d:5004", p+1)) }
+	for _, p := range profiles {
+		g.join(addr(p), 0, 0, p)
+	}
+	g.stream(1, n, nil)
+	g.settled()
+	r.Stop()
+	for _, p := range profiles {
+		a := addr(p)
+		g.contiguous(a, 1, 1, n)
+		g.contiguous(a, 2, 1, n)
+		g.accounted(a, 1, 2)
+		conn.mu.Lock()
+		epochs := maps.Clone(conn.epochs[a])
+		conn.mu.Unlock()
+		if want := profileEpoch(1, p); len(epochs) != 1 || epochs[want] != 2*n {
+			t.Errorf("%s on tier %v: Data packets by epoch %v, want all %d under epoch %d", a, p, epochs, 2*n, want)
+		}
 	}
 }
 

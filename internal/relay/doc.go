@@ -17,7 +17,9 @@
 // in that numbering plus a channel filter, a tier, and a pacing bucket
 // — the per-listener object is the lease, never a copy of the stream.
 // The receive loop appends, sends at most one batch of chained-lessee
-// copies per shard holding one, and wakes the shards. A UDP send has no
+// copies per shard holding one, encodes the packet once per active
+// quality tier, and wakes the shards; a subscriber on a tier other than
+// the source waits for its encode, and nobody else does. A UDP send has no
 // per-destination back-pressure, so only a full local send buffer can
 // block that send, and such a buffer blocks every worker alike. A live
 // subscriber is a cursor with zero lag; one that falls more than
@@ -31,9 +33,10 @@
 // WriteBatch call (sendmmsg on Linux) when the batch fills or the
 // moment a pass takes nothing more — a live packet never waits on a
 // timer. Subtree feeds go first: the chained lessees (Hops ≥ 1) lead
-// their shard's order, and the receive loop sends their copies itself
-// before it wakes any worker, so a downstream relay's copy waits for no
-// scheduler wake-up. A worker with more to send yields after each full
+// their shard's order, and the receive loop sends their source-tier
+// copies itself before it encodes any tier or wakes any worker, so a
+// downstream relay's copy waits for no transcode and no scheduler
+// wake-up. A worker with more to send yields after each full
 // batch, so the shards interleave batch by batch. Whichever goroutine
 // gathers, a subscriber's datagrams sit in at most one unflushed batch
 // at a time, which keeps each subscriber's stream FIFO on the wire.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/lan"
 	"repro/internal/proto"
 	"repro/internal/vclock"
@@ -385,16 +386,23 @@ type countConn struct {
 }
 
 func (c *countConn) WriteBatch(dgs []lan.Datagram) (int, error) {
-	if typ, _, _ := proto.PeekType(dgs[0].Data); typ == proto.TypeData {
-		c.sent.Add(int64(len(dgs)))
+	var n int64
+	for _, d := range dgs {
+		if typ, _, _ := proto.PeekType(d.Data); typ == proto.TypeData {
+			n++
+		}
 	}
+	c.sent.Add(n)
 	return len(dgs), nil
 }
 
 // injectRig runs a relay on a countConn with 32 speakers and one more
-// subscriber, a chained lessee or a 33rd speaker, and returns a function
-// that injects one Data packet and waits until all 33 copies are written.
-func injectRig(tb testing.TB, chained bool) (inject func(), stop func()) {
+// subscriber, a chained lessee or a 33rd speaker, and returns it with a
+// function that injects one Data packet and waits until all 33 copies
+// are written. With tiered, the speakers are spread over the
+// source tier and the three others in turn, and the stream's Control
+// goes first, so every packet is encoded for three tiers.
+func injectRig(tb testing.TB, chained, tiered bool) (r *Relay, inject func(), stop func()) {
 	tb.Helper()
 	conn := &countConn{recordConn: newRecordConn()}
 	r, err := New(vclock.System, conn, Config{Group: testGroup})
@@ -403,21 +411,24 @@ func injectRig(tb testing.TB, chained bool) (inject func(), stop func()) {
 	}
 	const speakers = 32
 	for i := 1; i <= speakers; i++ {
-		r.subscribe(lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)), &proto.Subscribe{}, time.Hour)
+		var p codec.Profile
+		if tiered {
+			p = codec.Profile(i % codec.NumProfiles)
+		}
+		r.subscribe(lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)), &proto.Subscribe{Profile: uint8(p)}, time.Hour)
 	}
 	var hops uint8
 	if chained {
 		hops = 1
 	}
 	r.subscribe("10.0.2.1:5006", &proto.Subscribe{Hops: hops}, time.Hour)
-	go r.Run()
-	dp, err := (&proto.Data{Channel: 1, Epoch: 1, Seq: 1, Payload: make([]byte, 320)}).Marshal()
-	if err != nil {
-		tb.Fatal(err)
+	if tiered {
+		r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: controlPkt(tb, 1, 1)})
 	}
-	pkt := lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dp}
+	go r.Run()
+	pkt := lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dataPkt(tb, 1, 1, 1, 320)}
 	var want int64
-	return func() {
+	return r, func() {
 		want += speakers + 1
 		r.Inject(pkt)
 		for conn.sent.Load() < want {
@@ -432,7 +443,7 @@ func injectRig(tb testing.TB, chained bool) (inject func(), stop func()) {
 // with a speaker in its place.
 func TestInjectChainedAllocatesNothingMore(t *testing.T) {
 	perPacket := func(chained bool) float64 {
-		inject, stop := injectRig(t, chained)
+		_, inject, stop := injectRig(t, chained, false)
 		defer stop()
 		inject() // the workers start and park
 		return testing.AllocsPerRun(500, inject)
@@ -449,12 +460,126 @@ func TestInjectChainedAllocatesNothingMore(t *testing.T) {
 // written: the append, the chained lessee's send from the injecting
 // goroutine, and the shard workers' batches.
 func BenchmarkInjectChained(b *testing.B) {
-	inject, stop := injectRig(b, true)
+	benchInject(b, false)
+}
+
+// BenchmarkInjectTiered is BenchmarkInjectChained with the speakers
+// spread over four tiers: the chained lessee's send, then three encodes
+// on the injecting goroutine, then the shard workers' batches.
+func BenchmarkInjectTiered(b *testing.B) {
+	benchInject(b, true)
+}
+
+func benchInject(b *testing.B, tiered bool) {
+	_, inject, stop := injectRig(b, true, tiered)
 	defer stop()
 	inject()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inject()
+	}
+}
+
+// TestInjectTieredAllocatesNothingMore: the tier variants are written
+// into the entry after it is published, so a packet through three tiers
+// allocates no more than a packet through none plus the three encodes
+// made on their own — the arrival entry holds its variants in place.
+func TestInjectTieredAllocatesNothingMore(t *testing.T) {
+	perPacket := func(tiered bool) (allocs, encodes float64) {
+		r, inject, stop := injectRig(t, true, tiered)
+		defer stop()
+		inject() // the workers start and park
+		allocs = testing.AllocsPerRun(200, inject)
+		dp := dataPkt(t, 1, 1, 1, 320)
+		encodes = testing.AllocsPerRun(200, func() {
+			var out profilePayloads
+			r.buildProfilePayloads(1, dp, &out)
+		})
+		return allocs, encodes
+	}
+	plain, _ := perPacket(false)
+	tiered, encodes := perPacket(true)
+	if tiered > plain+encodes {
+		t.Errorf("a packet through three tiers allocates %v times, want at most %v (%v without tiers, %v for the encodes)",
+			tiered, plain+encodes, plain, encodes)
+	}
+	t.Logf("allocations per packet: no tier %v, three tiers %v, the three encodes alone %v", plain, tiered, encodes)
+}
+
+// encodeLog is a relay socket that, once armed, records the first batch
+// of Data packets written and the relay's transcode count at that
+// moment, and passes every batch on.
+type encodeLog struct {
+	*recordConn
+	r       *Relay
+	armed   atomic.Bool
+	written chan struct{} // closed once the armed batch is recorded
+	first   []lan.Addr
+	encodes int64
+}
+
+func (c *encodeLog) WriteBatch(dgs []lan.Datagram) (int, error) {
+	if typ, _, _ := proto.PeekType(dgs[0].Data); typ == proto.TypeData && c.armed.CompareAndSwap(true, false) {
+		c.encodes = c.r.Stats().TranscodeEncodes
+		for _, d := range dgs {
+			c.first = append(c.first, d.To)
+		}
+		close(c.written)
+	}
+	return c.recordConn.WriteBatch(dgs)
+}
+
+// TestLeadLeavesBeforeTierEncodes: a downstream relay leasing the source
+// tier beside a µ-law and an ovl-low speaker. Its copy of a Data packet
+// is the first stream batch written, alone, and it leaves before the
+// relay has encoded the packet for either tier.
+func TestLeadLeavesBeforeTierEncodes(t *testing.T) {
+	const lessee = lan.Addr("10.0.2.1:5006")
+	conn := &encodeLog{recordConn: newRecordConn(), written: make(chan struct{})}
+	r, err := New(vclock.System, conn, Config{Group: testGroup, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.r = r
+	subs := map[lan.Addr]*proto.Subscribe{
+		"10.0.1.1:5004": {Profile: uint8(codec.ProfileULaw)},
+		"10.0.1.2:5004": {Profile: uint8(codec.ProfileOVLLow)},
+		lessee:          {Hops: 1},
+	}
+	for addr, req := range subs {
+		r.subscribe(addr, req, time.Hour)
+	}
+	go r.Run()
+	defer r.Stop()
+	r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: controlPkt(t, 1, 1)})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn.mu.Lock()
+		got := len(conn.pkts)
+		conn.mu.Unlock()
+		if got == len(subs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the Control reached %d of %d subscribers", got, len(subs))
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the worker parks
+	before := r.Stats().TranscodeEncodes
+	conn.armed.Store(true)
+	r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dataPkt(t, 1, 1, 1, 320)})
+	select {
+	case <-conn.written:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Data batch was written")
+	}
+	if !slices.Equal(conn.first, []lan.Addr{lessee}) {
+		t.Errorf("first Data batch went to %v, want the chained lessee alone", conn.first)
+	}
+	if conn.encodes != before {
+		t.Errorf("%d tier encodes were made before the chained lessee's copy left, want none", conn.encodes-before)
+	}
+	if st := r.Stats(); st.TranscodeEncodes != before+2 {
+		t.Errorf("%d encodes for the packet, want 2 (µ-law, ovl-low)", st.TranscodeEncodes-before)
 	}
 }

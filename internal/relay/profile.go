@@ -12,8 +12,10 @@ import (
 // subscribe time; the adaptive ladder (sweep) may step a congested
 // subscriber further down and back up. The fan-out path encodes the
 // upstream payload once per *active* profile — never per subscriber —
-// and keeps the variants with the packet's entry in the arrival
-// sequence, where each subscriber's worker picks its tier's bytes.
+// after the source-tier copies of the chained lessees have left, and
+// writes the variants into the packet's entry in the arrival sequence,
+// where each subscriber's worker picks its tier's bytes once they are
+// all there (entry.tiered).
 
 // Ladder defaults.
 const (
@@ -118,16 +120,17 @@ func (r *Relay) learnStream(ch uint32, ctl *proto.Control) *stream {
 	return st
 }
 
-// buildProfilePayloads produces the per-profile variants of one
-// upstream packet, encoding once per active profile regardless of how
-// many subscribers hold each tier. It runs outside every lock but
-// txMu — transcoding must never stall delivery to subscribers on other
-// tiers. Control packets are always learned (so transcoders are
-// ready before the first tiered subscriber needs them) and rewritten
-// per tier (tierControl); Data packets are transcoded (tierData).
-func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
-	var out profilePayloads
-	out[codec.ProfileSource] = data
+// buildProfilePayloads writes the per-tier variants of one upstream
+// packet into out, encoding once per active profile regardless of how
+// many subscribers hold each tier. out is a published entry's payloads:
+// fanout calls it after the source-tier copies have left, and it never
+// touches out's source slot, which readers may be reading meanwhile. It
+// runs outside every lock but txMu — transcoding must never stall
+// delivery to subscribers on other tiers. Control packets are always
+// learned (so transcoders are ready before the first tiered subscriber
+// needs them) and rewritten per tier (tierControl); Data packets are
+// transcoded (tierData).
+func (r *Relay) buildProfilePayloads(ch uint32, data []byte, out *profilePayloads) {
 	// Active-tier snapshot from the lock-free refcounts: with every
 	// subscriber on the source tier this is the whole fast path.
 	var want [codec.NumProfiles]bool
@@ -139,13 +142,13 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 	}
 	t, _, err := proto.PeekType(data)
 	if err != nil {
-		return out
+		return
 	}
 	switch t {
 	case proto.TypeControl:
 		ctl, err := proto.UnmarshalControl(data)
 		if err != nil {
-			return out
+			return
 		}
 		// The stream learnStream returns is the one read below:
 		// r.streams[ch] is the sweep's to delete (trimChannels).
@@ -161,17 +164,17 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 		}
 	case proto.TypeData:
 		if !active {
-			return out
+			return
 		}
 		r.txMu.Lock()
 		defer r.txMu.Unlock()
 		st := r.streams[ch]
 		if st == nil {
-			return out // no Control seen yet: passthrough for everyone
+			return // no Control seen yet: passthrough for everyone
 		}
 		d, err := proto.UnmarshalData(data)
 		if err != nil {
-			return out
+			return
 		}
 		var encodes, errs int64
 		for p := codec.ProfileULaw; p.Valid(); p++ {
@@ -193,7 +196,6 @@ func (r *Relay) buildProfilePayloads(ch uint32, data []byte) profilePayloads {
 			})
 		}
 	}
-	return out
 }
 
 // ladderStep evaluates the adaptive ladder for one shard's subscribers

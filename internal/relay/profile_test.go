@@ -13,7 +13,7 @@ import (
 
 // controlPkt marshals a Control packet for a raw 16-bit stream — the
 // shape every ladder tier can transcode.
-func controlPkt(t *testing.T, ch, epoch uint32) []byte {
+func controlPkt(t testing.TB, ch, epoch uint32) []byte {
 	t.Helper()
 	data, err := (&proto.Control{
 		Channel: ch, Epoch: epoch, Seq: 1,
@@ -26,7 +26,7 @@ func controlPkt(t *testing.T, ch, epoch uint32) []byte {
 }
 
 // dataPkt marshals a Data packet with n bytes of silent 16-bit PCM.
-func dataPkt(t *testing.T, ch, epoch uint32, seq uint64, n int) []byte {
+func dataPkt(t testing.TB, ch, epoch uint32, seq uint64, n int) []byte {
 	t.Helper()
 	payload := make([]byte, n)
 	data, err := (&proto.Data{
