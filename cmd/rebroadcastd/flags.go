@@ -2,18 +2,15 @@ package main
 
 import (
 	"flag"
-	"time"
 
 	"repro/internal/lan"
 	"repro/internal/rebroadcast"
-	"repro/internal/relay"
-	"repro/internal/security"
 )
 
 // options holds every rebroadcastd command-line setting. As in relayd,
 // the flag layer is split out of main so the flag surface — names,
-// defaults, and how they shape the transmitter's and the embedded DVR
-// relay's configs — is testable without running the daemon.
+// defaults, and how they shape the transmitter's config — is testable
+// without running the daemon.
 type options struct {
 	group    string
 	local    string
@@ -25,13 +22,6 @@ type options struct {
 	channels int
 	wav      bool
 	opsAddr  string
-
-	dvr      bool
-	dvrAddr  string
-	dvrDepth time.Duration
-	dvrBurst int
-	auth     string
-	keyFile  string
 }
 
 // parseFlags registers the full rebroadcastd flag surface on a fresh
@@ -49,12 +39,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.channels, "channels", 2, "channels of stdin PCM")
 	fs.BoolVar(&o.wav, "wav", false, "parse stdin as a WAV file instead of raw PCM")
 	fs.StringVar(&o.opsAddr, "ops-addr", "", "ops HTTP endpoint: /metrics, /snapshot, /healthz, /debug/pprof (empty = off)")
-	fs.BoolVar(&o.dvr, "dvr", false, "embed a time-shift (DVR) relay: it records this channel and serves shifted and pause/resume subscribers at -dvr-listen")
-	fs.StringVar(&o.dvrAddr, "dvr-listen", "0.0.0.0:5007", "unicast address the embedded DVR relay leases subscribers from (with -dvr)")
-	fs.DurationVar(&o.dvrDepth, "dvr-depth", 0, "recorded history in the embedded relay's ring (0 = the built-in 30s default; with -dvr)")
-	fs.IntVar(&o.dvrBurst, "dvr-burst", 0, "catch-up delivery rate in packets/s per subscriber (0 = the built-in default; with -dvr)")
-	fs.StringVar(&o.auth, "auth", "none", "control-plane auth for the embedded DVR relay: none, hmac, or ident (per-subscriber credentials) with -key-file")
-	fs.StringVar(&o.keyFile, "key-file", "", "file holding the control-plane key: the shared key (-auth hmac) or the chain master key (-auth ident); with -dvr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -71,23 +55,4 @@ func (o *options) rebroadcastConfig() rebroadcast.Config {
 		Codec:   o.codec,
 		Quality: o.quality,
 	}
-}
-
-// dvrRelayConfig shapes the parsed flags into the embedded DVR relay's
-// config: it joins the group this daemon transmits on, pinned to its
-// channel, and demands of its subscribers the control-plane scheme
-// -auth/-key-file name — loaded exactly as relayd loads its own.
-func (o *options) dvrRelayConfig() (relay.Config, error) {
-	auth, _, err := security.LoadRelayAuth(o.auth, o.keyFile)
-	if err != nil {
-		return relay.Config{}, err
-	}
-	return relay.Config{
-		Group:    lan.Addr(o.group),
-		Channel:  uint32(o.id),
-		Auth:     auth,
-		DVR:      true,
-		DVRDepth: o.dvrDepth,
-		DVRBurst: o.dvrBurst,
-	}, nil
 }

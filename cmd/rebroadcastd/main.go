@@ -12,12 +12,8 @@
 //	mpg123 -s song.mp3 | rebroadcastd -group 239.72.1.1:5004 \
 //	    -rate 44100 -channels 2
 //
-// Example — the same, with time-shifted delivery: an embedded DVR
-// relay records the channel and serves shifted joins and pause/resume
-// on a unicast lease address, beside the untouched multicast stream:
-//
-//	rebroadcastd -group 239.72.1.1:5004 -wav \
-//	    -dvr -dvr-listen 192.0.2.5:5007 -dvr-depth 60s < music.wav
+// Time-shifted delivery (joins "from N seconds ago", pause and resume)
+// is a relay's job: run relayd -channel N -dvr on the same group.
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 	"repro/internal/lan"
 	"repro/internal/obs"
 	"repro/internal/rebroadcast"
-	"repro/internal/relay"
 	"repro/internal/vad"
 	"repro/internal/vclock"
 )
@@ -57,42 +52,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// -dvr embeds a recording relay beside the transmitter: listeners
-	// on the LAN keep playing the multicast stream untouched, while
-	// anyone who wants to join "from 30 seconds ago" (or pause and
-	// resume) leases the backlog from -dvr-listen — time-shifted
-	// delivery at the source, with no separate relayd to deploy.
-	var dvrRelay *relay.Relay
-	if o.dvr {
-		cfg, err := o.dvrRelayConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		rconn, err := net.Attach(lan.Addr(o.dvrAddr))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer rconn.Close()
-		dvrRelay, err = relay.New(clock, rconn, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		clock.Go("dvr-relay", dvrRelay.Run)
-		defer dvrRelay.Stop()
-		log.Printf("time-shift relay at %s", dvrRelay.Addr())
-		if cfg.Auth != nil {
-			log.Printf("DVR control plane authenticated (%s); unsigned requests are dropped silently", cfg.Auth.Scheme())
-		}
-	}
-
 	if o.opsAddr != "" {
 		reg := obs.NewRegistry()
 		// The rebroadcaster's stats carry no mib tags (it has no MIB);
 		// StructCounters falls back to es_reb_<snake_case> names.
 		reg.StructCounters("es_reb", func() any { return reb.Stats() })
-		if dvrRelay != nil {
-			dvrRelay.RegisterObs(reg)
-		}
 		reg.Info("es_reb_info", "rebroadcaster identity", func() []obs.KV {
 			return []obs.KV{
 				{Key: "name", Value: o.name},

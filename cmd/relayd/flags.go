@@ -25,7 +25,6 @@ type options struct {
 	maxSubs  int
 	maxLease time.Duration
 	batch    int
-	flush    time.Duration
 	auth     string
 	keyFile  string
 	identity uint
@@ -74,7 +73,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.maxSubs, "max-subscribers", relay.DefaultMaxSubscribers, "subscriber table capacity")
 	fs.DurationVar(&o.maxLease, "max-lease", relay.DefaultMaxLease, "longest grantable lease")
 	fs.IntVar(&o.batch, "batch", relay.DefaultBatch, "fan-out batch size in datagrams (1 = unbatched)")
-	fs.DurationVar(&o.flush, "flush", relay.DefaultFlushInterval, "how long a batch of replayed (-dvr) packets only may wait to fill; live packets are never held")
 	fs.StringVar(&o.auth, "auth", "none", "control-plane auth scheme: none, hmac, or ident (per-subscriber credentials) with -key-file (§5.1; forged subscribes are dropped silently)")
 	fs.StringVar(&o.keyFile, "key-file", "", "file holding the control-plane key: the shared key (-auth hmac) or the chain master key (-auth ident)")
 	fs.UintVar(&o.identity, "identity", 0, "this relay's subscriber identity for its upstream lease (with -auth ident and -upstream; credentials derive from the master key)")
@@ -110,7 +108,6 @@ func (o *options) relayConfig(auth security.RelayAuthenticator, upstreamAuth sec
 		MaxSubscribers:  o.maxSubs,
 		MaxLease:        o.maxLease,
 		Batch:           o.batch,
-		FlushInterval:   o.flush,
 		Auth:            auth,
 		UpstreamAuth:    upstreamAuth,
 		TraceSample:     o.traceN,

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/dvr"
+	"repro/internal/proto"
 	"repro/internal/relay"
+	"repro/internal/security"
 )
 
 // TestFlagsShapeRelayConfig parses a full DVR + ladder command line
@@ -34,6 +38,53 @@ func TestFlagsShapeRelayConfig(t *testing.T) {
 	if !cfg.DVR || cfg.DVRDepth != 2*time.Minute || cfg.DVRBurst != 250 {
 		t.Errorf("dvr = %v/%v/%d, want on/2m/250",
 			cfg.DVR, cfg.DVRDepth, cfg.DVRBurst)
+	}
+}
+
+// TestFlagsLoadRelayAuth: -auth and -key-file load the relay side of
+// the control plane through security.LoadRelayAuth, as main does, and
+// the authenticator lands on relay.Config.Auth — none, the shared key,
+// or the keyring, which alone comes with a ring for -mint-identity.
+func TestFlagsLoadRelayAuth(t *testing.T) {
+	key := filepath.Join(t.TempDir(), "control.key")
+	if err := os.WriteFile(key, []byte("relayd test key\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	load := func(args ...string) (relay.Config, *security.Keyring, error) {
+		t.Helper()
+		o, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auth, ring, err := security.LoadRelayAuth(o.auth, o.keyFile)
+		return o.relayConfig(auth, nil, 0), ring, err
+	}
+	for _, tc := range []struct {
+		auth   string
+		scheme proto.AuthScheme
+		binds  bool
+	}{
+		{"hmac", proto.AuthHMAC, false},
+		{"ident", proto.AuthIdentity, true},
+	} {
+		cfg, ring, err := load("-auth", tc.auth, "-key-file", key)
+		if err != nil {
+			t.Fatalf("-auth %s: %v", tc.auth, err)
+		}
+		if cfg.Auth == nil || cfg.Auth.Scheme() != tc.scheme || cfg.Auth.BindsIdentity() != tc.binds {
+			t.Errorf("-auth %s: Auth = %v, want scheme %v binding identities %v", tc.auth, cfg.Auth, tc.scheme, tc.binds)
+		}
+		if (ring != nil) != tc.binds {
+			t.Errorf("-auth %s: keyring %v, want one exactly for ident", tc.auth, ring)
+		}
+	}
+	if cfg, ring, err := load(); err != nil || cfg.Auth != nil || ring != nil {
+		t.Errorf("no -auth: Auth = %v ring = %v err = %v, want an open control plane", cfg.Auth, ring, err)
+	}
+	for _, scheme := range []string{"hmac", "ident"} {
+		if _, _, err := load("-auth", scheme); err == nil {
+			t.Errorf("-auth %s without -key-file loaded", scheme)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@
 // The fan-out path is sharded and batched: subscribers hash onto
 // -shards shards, and outgoing datagrams are accumulated into batches
 // of up to -batch and written with one sendmmsg call (on Linux). A
-// partial batch goes out the moment its shard has nothing more to send;
-// only a batch of replayed (-dvr) packets waits, -flush at the longest.
+// partial batch goes out the moment its shard has nothing more to send:
+// no packet, live or replayed, waits on a timer.
 // The shards write to the -listen socket in parallel, so every datagram
 // the relay sends — acks and data alike — leaves from -listen, the
 // address a NAT or stateful firewall saw the subscriber's Subscribe go

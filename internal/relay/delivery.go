@@ -22,7 +22,9 @@ import (
 // falls more than Config.QueueLen entries behind is clamped forward and
 // the jump charged as queue-full drops; a time-shifted join places the
 // cursor in the past and a pause stops it, and either is then fed at
-// Config.DVRBurst packets per second until cursor == head. There is no
+// Config.DVRBurst packets per second until cursor == head, its tokens
+// earned at refill instants every replaying cursor shares, so that no
+// timer need hold a batch for company (refill). There is no
 // second structure to hand over to, so there is no seam: fanout appends
 // and wakes the shard workers, and one gather loop — run by a worker, or
 // by fanout itself for the chained lessees — serves every kind of
@@ -330,26 +332,30 @@ func (r *Relay) settle(sh *shard) (queued int) {
 	return queued
 }
 
-// refill tops up sub's replay token bucket — Config.DVRBurst tokens per
-// second, at most 100 ms worth — and returns how long until it holds a
-// whole one (0: ready).
+// refill tops up sub's replay token bucket and returns how long until it
+// holds a whole token (0: ready). Tokens accrue one per quantum,
+// q = 1s/Config.DVRBurst, at the instants origin + k·q that every cursor
+// of the relay shares, and at most 100 ms worth are kept. So a catch-up
+// cohort, however staggered its joins, comes due at once: the worker's
+// one timed wait wakes with all of it eligible, and the pass fills a
+// batch without any timer holding it. The ticks are counted with
+// Time.Sub from the relay's origin, which keeps the monotonic reading
+// (Time.Truncate would drop it, and a wall-clock step would then stall
+// or burst every replay).
 func (r *Relay) refill(sub *subscriber, now time.Time) time.Duration {
-	rate := float64(r.cfg.DVRBurst)
-	if sub.tokensAt.IsZero() {
-		sub.tokensAt, sub.tokens = now, 1
+	q := time.Second / time.Duration(r.cfg.DVRBurst)
+	k := int64(now.Sub(r.origin) / q)
+	burst := int64(max(r.cfg.DVRBurst/10, 1))
+	if sub.ticks == 0 {
+		sub.tokens = 1 // the seed: a replay's first packet leaves at once
+	} else {
+		sub.tokens = int(min(int64(sub.tokens)+k+1-sub.ticks, burst))
 	}
-	sub.tokens += now.Sub(sub.tokensAt).Seconds() * rate
-	sub.tokensAt = now
-	if burst := max(rate/10, 1); sub.tokens > burst {
-		sub.tokens = burst
-	}
-	if sub.tokens >= 1 {
+	sub.ticks = k + 1
+	if sub.tokens > 0 {
 		return 0
 	}
-	if d := time.Duration((1 - sub.tokens) / rate * float64(time.Second)); d > 0 {
-		return d
-	}
-	return time.Millisecond
+	return r.origin.Add(time.Duration(k+1) * q).Sub(now)
 }
 
 // pass is what one gather pass shares across its subscribers: the relay
@@ -425,10 +431,6 @@ func (r *Relay) next(sh *shard, sub *subscriber, slot *[]byte, p *pass) ([]byte,
 type batch struct {
 	dgs    []lan.Datagram
 	owners []*subscriber // owners[i] is the subscriber behind dgs[i]
-	// live is set once the batch holds a packet taken at the head of the
-	// arrival sequence, as opposed to one replayed from the recorded
-	// history: such a batch is never held back (see shardWorker).
-	live bool
 	// slots[i] backs dgs[i] when that packet was read from the deep
 	// ring: a buffer per batch position, reused only after the flush, so
 	// backlog packets gathered into one batch never alias.
@@ -471,9 +473,6 @@ func (r *Relay) gather(sh *shard, b *batch) (progress bool, wait time.Duration) 
 			b.dgs = append(b.dgs, lan.Datagram{To: sub.addr, Data: data})
 			b.owners = append(b.owners, sub)
 			sub.inflight = b
-			// next hands a replay cursor recorded history only: one that
-			// has left replay was served from the live window.
-			b.live = b.live || !sub.replay
 		} else if w > 0 && (wait == 0 || w < wait) {
 			wait = w
 		}
@@ -491,27 +490,23 @@ func (r *Relay) gather(sh *shard, b *batch) (progress bool, wait time.Duration) 
 type flushTrigger int
 
 const (
-	flushSize     flushTrigger = iota // batch reached cfg.Batch
-	flushDeadline                     // replay-only batch waited out FlushInterval
-	flushQuiesce                      // the shard ran dry, or the relay is stopping
+	flushSize    flushTrigger = iota // batch reached cfg.Batch
+	flushQuiesce                     // the shard ran dry, or the relay is stopping
 )
 
 // shardWorker turns its shard's cursors into lan.Datagram batches, and
 // is work-conserving about it: a batch flushes when full (size) or the
 // moment a gather pass takes nothing more (quiesce — every cursor at the
 // head, paused, or out of tokens; the relay stopping is the last such
-// flush). A packet taken at the head therefore never waits on a timer:
-// a relay's hold time is skew between the speakers behind it and those
-// on the group (§3.2 anchors the producer's clock at arrival), and at
-// audio rates the only company a linger could collect is the next
-// packet, a whole period away. Batches still fill under load without
-// one — while a flush is in WriteBatch outside the shard lock, arrivals
-// pile up behind the cursors and the next pass gathers them together.
-// The one batch that does wait is a replay-only batch with a paced
-// replay due: its packets are seconds old by construction, so it is held
-// for FlushInterval (deadline) — the tick on which a DVR catch-up
-// cohort's token buckets refill together, so the next pass fills a batch
-// instead of sending each subscriber's packet on its own.
+// flush). No packet waits on a timer: a relay's hold time is skew
+// between the speakers behind it and those on the group (§3.2 anchors
+// the producer's clock at arrival), and at audio rates the only company
+// a linger could collect is the next packet, a whole period away.
+// Batches still fill without one. Under load, arrivals pile up behind
+// the cursors while a flush is in WriteBatch outside the shard lock, and
+// the next pass gathers them together; in a DVR catch-up, every replay
+// bucket refills at the same instants (refill), so the pass at each one
+// finds the whole cohort due.
 func (r *Relay) shardWorker(sh *shard) {
 	defer func() {
 		r.mu.Lock()
@@ -522,8 +517,7 @@ func (r *Relay) shardWorker(sh *shard) {
 	b := batch{dgs: lan.GetBatch(), slots: make([][]byte, r.cfg.Batch)}
 	defer func() { lan.PutBatch(b.dgs) }() // reuse pool: zero steady-state allocation
 	for {
-		b.dgs, b.owners, b.live = b.dgs[:0], b.owners[:0], false
-		var deadline time.Time
+		b.dgs, b.owners = b.dgs[:0], b.owners[:0]
 		trigger := flushQuiesce
 		sh.mu.Lock()
 		for {
@@ -532,37 +526,20 @@ func (r *Relay) shardWorker(sh *shard) {
 				trigger = flushSize
 				break
 			}
-			if sh.stopped {
-				break
+			if sh.stopped || len(b.dgs) > 0 && !progress {
+				break // stopping, or ran dry: send what there is, now
 			}
-			if progress {
-				continue // cursors may still be behind the head
-			}
-			if len(b.dgs) > 0 {
-				if b.live || wait == 0 {
-					break // ran dry: send what there is, now
-				}
-				// Replay only, and a token is due: hold the batch, but
-				// never past the flush deadline. An arrival wakes the wait
-				// early, and taking it makes the batch live.
-				if deadline.IsZero() {
-					deadline = r.clock.Now().Add(r.cfg.FlushInterval)
-				}
-				remain := deadline.Sub(r.clock.Now())
-				if remain <= 0 || !sh.work.WaitTimeout(&sh.mu, remain) {
-					trigger = flushDeadline
-					break
-				}
-				continue
-			}
-			if wait > 0 {
+			switch {
+			case progress:
+				// Cursors may still be behind the head.
+			case wait > 0:
 				// Token-starved replay and nothing else to do: sleep until
-				// the bucket refills rather than waiting for a signal that
-				// may never come.
+				// the next refill instant rather than waiting for a signal
+				// that may never come. An arrival wakes it early.
 				sh.work.WaitTimeout(&sh.mu, wait)
-				continue
+			default:
+				sh.work.Wait(&sh.mu)
 			}
-			sh.work.Wait(&sh.mu)
 		}
 		stopped := sh.stopped
 		sh.mu.Unlock()
@@ -648,12 +625,9 @@ func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigg
 		s.FanoutSent += sent
 		s.SendErrors += errs
 		s.Batches++
-		switch trigger {
-		case flushSize:
+		if trigger == flushSize {
 			s.FlushSize++
-		case flushDeadline:
-			s.FlushDeadline++
-		case flushQuiesce:
+		} else {
 			s.FlushQuiesce++
 		}
 	})

@@ -16,7 +16,7 @@ import (
 
 // shiftSubPkt builds an inbound subscribe packet asking for ShiftMs of
 // history.
-func shiftSubPkt(t *testing.T, from lan.Addr, channel, seq, leaseMs, shiftMs uint32) lan.Packet {
+func shiftSubPkt(t testing.TB, from lan.Addr, channel, seq, leaseMs, shiftMs uint32) lan.Packet {
 	t.Helper()
 	data, err := (&proto.Subscribe{
 		Channel: channel, Seq: seq, LeaseMs: leaseMs, ShiftMs: shiftMs,
@@ -1148,4 +1148,71 @@ func TestQuietChannelResumes(t *testing.T) {
 				st.UpstreamData, st.TranscodeEncodes, st.TranscodeErrors, st.UpstreamForeign)
 		}
 	})
+}
+
+// replayRig builds a relay on a countConn whose one shard holds eight
+// source-tier subscribers replaying a 1,000-packet backlog at the
+// highest DVRBurst there is, and returns it with one replay pass: the
+// worker's gather, then its flush. A pass that finds the cohort caught
+// up puts every cursor back at the ring's oldest entry first, so the
+// pass can run any number of times.
+func replayRig(tb testing.TB) (r *Relay, pass func()) {
+	tb.Helper()
+	r, err := New(vclock.System, &countConn{recordConn: newRecordConn()}, Config{
+		Group: testGroup, Channel: 1, DVR: true, DVRBurst: int(time.Second), Shards: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: controlPkt(tb, 1, 1)})
+	for seq := uint64(1); seq <= 1000; seq++ {
+		r.Inject(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: dataPkt(tb, 1, 1, seq, 320)})
+	}
+	const cohort = 8
+	for i := 1; i <= cohort; i++ {
+		r.Inject(shiftSubPkt(tb, lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)), 1, 1, 3_600_000, 60_000))
+	}
+	sh := r.shards[0]
+	b := &batch{dgs: make([]lan.Datagram, 0, r.cfg.Batch), slots: make([][]byte, r.cfg.Batch)}
+	return r, func() {
+		b.dgs, b.owners = b.dgs[:0], b.owners[:0]
+		sh.mu.Lock()
+		if r.catchupActive.Load() == 0 {
+			for _, sub := range sh.order {
+				sub.cursor, sub.replay = r.seq.ring.Tail(), true
+				r.catchupActive.Add(1)
+			}
+		}
+		r.gather(sh, b)
+		sh.mu.Unlock()
+		if len(b.dgs) > 0 {
+			r.flush(sh, b.dgs, b.owners, flushQuiesce)
+		}
+	}
+}
+
+// TestReplayPassAllocatesNothing: a steady source-tier catch-up pass —
+// eight ring reads into the batch's own slots, their send, the pacing —
+// allocates nothing.
+func TestReplayPassAllocatesNothing(t *testing.T) {
+	r, pass := replayRig(t)
+	pass()
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Errorf("a replay pass allocates %v times, want 0", allocs)
+	}
+	if st := r.Stats(); st.DVRBacklog < 8*100 {
+		t.Errorf("%d backlog packets served over 101 passes of eight replays, want a packet a pass each", st.DVRBacklog)
+	}
+}
+
+// BenchmarkReplayPass prices one gather pass and its flush over eight
+// source-tier subscribers catching up from the ring.
+func BenchmarkReplayPass(b *testing.B) {
+	_, pass := replayRig(b)
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 }

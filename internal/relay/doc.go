@@ -42,8 +42,10 @@
 // at a time, which keeps each subscriber's stream FIFO on the wire.
 // Every sender writes to the relay's one socket, in parallel
 // (lan.WriteBatch takes no lock there), so all data leaves from the
-// address subscribers leased at. Only a batch of replayed packets whose
-// subscribers are out of tokens is held, for the flush interval at most.
+// address subscribers leased at. Replay is paced without a timer on the
+// data path too: every catching-up cursor earns its tokens at instants
+// the whole relay shares, so a worker's one timed wait wakes with the
+// whole cohort due and the pass fills a batch.
 //
 // Relays chain: a Relay configured with an Upstream address is itself
 // a subscriber — it leases the stream from another relay (through the

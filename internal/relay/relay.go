@@ -50,12 +50,6 @@ const (
 	// DefaultBatch is the fan-out batch size: how many datagrams a shard
 	// worker accumulates before one WriteBatch flush.
 	DefaultBatch = 32
-	// DefaultFlushInterval is how long a batch holding replayed packets
-	// only (DVR catch-up, seconds old by construction) is held while its
-	// subscribers' token buckets refill — the tick that batches a
-	// catch-up cohort's sends. A batch with a live packet in it is never
-	// held: a relay's hold time is skew against listeners on the group.
-	DefaultFlushInterval = 2 * time.Millisecond
 	// DefaultAdmitBatch is how many queued control requests the admission
 	// worker gathers per pass: verification, lease-table insertion, ack
 	// signing, and the ack sends are all amortized across the gather.
@@ -123,9 +117,6 @@ type Config struct {
 	// Batch overrides DefaultBatch. 1 disables batching: every datagram
 	// is its own send call.
 	Batch int
-	// FlushInterval overrides DefaultFlushInterval: the longest a
-	// replay-only batch waits. Live packets never wait on it.
-	FlushInterval time.Duration
 	// Auth, when set, authenticates the relay control plane (§5.1
 	// applied to the one path that creates forwarding state): every
 	// inbound control request — Subscribe or Pause — must verify before
@@ -213,7 +204,8 @@ type Config struct {
 	// depth (see dvr.NewRing) and shared by every channel relayed.
 	DVRDepth time.Duration
 	// DVRBurst overrides DefaultDVRBurst: the catch-up delivery rate
-	// cap, in packets per second per catching-up subscriber.
+	// cap, in packets per second per catching-up subscriber, at most
+	// one a nanosecond.
 	DVRBurst int
 }
 
@@ -235,9 +227,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Batch <= 0 {
 		c.Batch = DefaultBatch
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = DefaultFlushInterval
 	}
 	if c.UpstreamLease <= 0 {
 		c.UpstreamLease = DefaultUpstreamLease
@@ -264,6 +253,11 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DVRBurst <= 0 {
 		c.DVRBurst = DefaultDVRBurst
+	}
+	if c.DVRBurst > int(time.Second) {
+		// One token a nanosecond is the finest refill quantum there is
+		// (refill): a faster rate would make the quantum zero.
+		c.DVRBurst = int(time.Second)
 	}
 }
 
@@ -313,7 +307,7 @@ type Stats struct {
 	// size — the syscall amortization factor on a real network.
 	Batches       int64 `mib:"es.relay.fanout.batches" help:"WriteBatch flushes issued"`
 	FlushSize     int64 `mib:"es.relay.fanout.flush.size" help:"flushes triggered by a full batch"`
-	FlushDeadline int64 `mib:"es.relay.fanout.flush.deadline" help:"replay-only batches (DVR catch-up) flushed after waiting the flush interval"`
+	FlushDeadline int64 `mib:"es.relay.fanout.flush.deadline" help:"always 0: no batch waits on a timer (kept so dashboards reading it do not break)"`
 	FlushQuiesce  int64 `mib:"es.relay.fanout.flush.quiesce" help:"partial batches flushed because the shard ran dry (nothing more to gather, or the relay stopping)"`
 
 	// Delivery-profile telemetry: the quality ladder and the per-profile
@@ -402,16 +396,18 @@ type subscriber struct {
 	// the packets before it its channel filter would deliver — what a
 	// clamp measures its jump against while the cursor is live. replay
 	// marks a cursor placed behind on purpose (a time-shifted join, a
-	// pause): it is paced by the token bucket tokens/tokensAt and never
-	// clamped until it reaches the head; paused stops it entirely.
-	// shiftMs is the granted shift, echoed on refresh acks.
-	cursor   uint64
-	passed   uint64
-	replay   bool
-	paused   bool
-	shiftMs  uint32
-	tokens   float64
-	tokensAt time.Time
+	// pause): it is paced by the token bucket tokens (refill; ticks is
+	// one more than the refill quanta from Relay.origin to its last
+	// refill, 0 before the first) and never clamped until it reaches the
+	// head; paused stops it entirely. shiftMs is the granted shift,
+	// echoed on refresh acks.
+	cursor  uint64
+	passed  uint64
+	replay  bool
+	paused  bool
+	shiftMs uint32
+	tokens  int
+	ticks   int64
 	// inflight is the unflushed batch holding this subscriber's
 	// datagrams, nil when none does: set by gather, cleared by flush, so
 	// whichever goroutine gathers, one batch at a time carries them.
@@ -500,6 +496,7 @@ type ShardStats struct {
 // unicast subscribers.
 type Relay struct {
 	clock   vclock.Clock
+	origin  time.Time // where replay refill quanta are counted from (refill)
 	conn    lan.Conn
 	cfg     Config
 	shards  []*shard
@@ -596,7 +593,7 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 			return nil, fmt.Errorf("relay: joining %q: %w", cfg.Group, err)
 		}
 	}
-	r := &Relay{clock: clock, conn: conn, cfg: cfg, streams: make(map[uint32]*stream)}
+	r := &Relay{clock: clock, origin: clock.Now(), conn: conn, cfg: cfg, streams: make(map[uint32]*stream)}
 	r.relayID = newPathID(conn.LocalAddr())
 	r.flushLatency = obs.NewHistogram("es_relay_flush_latency_seconds",
 		"WriteBatch flush duration, gather to syscall return", nil)

@@ -3,6 +3,9 @@ package relay
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -448,11 +451,6 @@ func TestUnicastInjectionNotRelayed(t *testing.T) {
 // relay sends at t arrives at t + flushLatency on the simulated clock.
 const flushLatency = 100 * time.Microsecond
 
-// starvedReplayConfig is a one-shard DVR relay whose replays are paced at
-// one packet a second: a time-shifted join's seed token buys its first
-// recorded packet and the next is a second away, so that packet sits in a
-// replay-only batch with a refill due — the one batch a worker holds,
-// for flush at the longest.
 // TestChainedFanInFromUpstreamAddressOnly checks the chained relay's
 // fan-in gate: Control and Data are relayed from the address the
 // upstream lease is held against and from nothing else — not from
@@ -548,8 +546,11 @@ func TestChainedFanInFromUpstreamAddressOnly(t *testing.T) {
 	}
 }
 
-func starvedReplayConfig(flush time.Duration) Config {
-	return Config{Channel: 1, DVR: true, DVRBurst: 1, Shards: 1, Batch: 8, FlushInterval: flush}
+// starvedReplayConfig is a one-shard DVR relay whose replays are paced at
+// one packet a second: a time-shifted join's seed token buys its first
+// recorded packet, and the next refill instant is up to a second away.
+func starvedReplayConfig() Config {
+	return Config{Channel: 1, DVR: true, DVRBurst: 1, Shards: 1, Batch: 8}
 }
 
 // attachAll attaches one endpoint per address.
@@ -586,10 +587,8 @@ func recvStream(t *testing.T, c lan.Conn) (lan.Packet, bool) {
 func TestDrainedLiveBatchFlushedAtOnce(t *testing.T) {
 	// Three packets against a batch size of 8: the pass that takes them
 	// leaves the shard dry, so they leave as one batch at that instant.
-	// No timer sits on a live packet's path — the flush interval here is
-	// a minute, and the receives below give up after a second.
-	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency},
-		Config{Batch: 8, FlushInterval: time.Minute})
+	// No timer sits on a live packet's path.
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, Config{Batch: 8})
 	sub := attachAll(t, seg, "10.0.0.2:5004")[0]
 	var st Stats
 	sim.Go("test", func() {
@@ -630,12 +629,11 @@ func TestDrainedLiveBatchFlushedAtOnce(t *testing.T) {
 	}
 }
 
-func TestPartialBatchFlushedOnDeadline(t *testing.T) {
-	// The one batch that still waits: replayed packets only, with the
-	// replay's token bucket empty. It is held for the flush interval, no
-	// longer, and counted as a deadline flush.
-	const flushInterval = 5 * time.Millisecond
-	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig(flushInterval))
+func TestReplayOnlyBatchFlushedWhenDry(t *testing.T) {
+	// A batch of replayed packets alone, with the replay's token bucket
+	// empty, leaves the moment the pass runs dry, like any other batch: no
+	// timer holds it for company, and no flush counts as a deadline flush.
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig())
 	sub := attachAll(t, seg, "10.0.0.2:5004")[0]
 	var st Stats
 	sim.Go("relay", r.Run)
@@ -651,8 +649,11 @@ func TestPartialBatchFlushedOnDeadline(t *testing.T) {
 		if !ok {
 			return
 		}
-		if held := pkt.Recv.Sub(dry) - flushLatency; held <= 0 || held > flushInterval {
-			t.Errorf("replay-only batch held %v, want within (0, %v]", held, flushInterval)
+		if at := pkt.Recv.Sub(dry); at != flushLatency {
+			t.Errorf("replay-only batch arrived %v after the join, want the segment's %v", at, flushLatency)
+		}
+		if want := controlPkt(t, 1, 1); !bytes.Equal(pkt.Data, want) {
+			t.Errorf("replayed %x, want the recorded Control %x", pkt.Data, want)
 		}
 		st = r.Stats()
 	})
@@ -660,18 +661,19 @@ func TestPartialBatchFlushedOnDeadline(t *testing.T) {
 	if st.FanoutSent != 1 || st.Batches != 1 || st.DVRBacklog != 1 {
 		t.Fatalf("want one batch carrying the one replayed packet: %+v", st)
 	}
-	if st.FlushDeadline != 1 || st.FlushQuiesce != 0 || st.FlushSize != 0 {
-		t.Fatalf("want that batch flushed by deadline: %+v", st)
+	if st.FlushQuiesce != 1 || st.FlushDeadline != 0 || st.FlushSize != 0 {
+		t.Fatalf("want that batch flushed because the shard ran dry: %+v", st)
 	}
 }
 
 func TestLiveBesideReplayNotHeld(t *testing.T) {
 	// One shard holds a token-starved replay and a live subscriber. The
-	// replay's packet is parked behind an hour-long flush interval; a
-	// live packet must not join it there. It is sent at once — taking
-	// the parked packet with it — each subscriber's packets stay in
-	// order, and every payload is the bytes that came in.
-	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig(time.Hour))
+	// replay's packets leave alone, each at the instant its token comes
+	// due — nothing is parked to wait for company — and a live packet
+	// arriving while the replay waits for its next token is sent at once.
+	// Each subscriber's packets stay in order, and every payload is the
+	// bytes that came in.
+	sim, seg, r := newTestRelayOn(t, lan.SegmentConfig{Latency: flushLatency}, starvedReplayConfig())
 	conns := attachAll(t, seg, "10.0.0.2:5004", "10.0.0.3:5004")
 	replay, live := conns[0], conns[1]
 	var st Stats
@@ -682,16 +684,20 @@ func TestLiveBesideReplayNotHeld(t *testing.T) {
 		defer r.Stop()
 		feedStream(t, r, 1, 1) // recorded: a Control, then Data 1..10
 		recorded := [][]byte{controlPkt(t, 1, 1), dataPkt(t, 1, 1, 1, 320)}
+		// The seed token buys the replay's first packet at the join; the
+		// stream took the relay's first second, so the next refill
+		// instant, one quantum (a second) on, is two seconds from its
+		// origin.
+		due := []time.Time{sim.Now(), r.origin.Add(2 * time.Second)}
 		r.Inject(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 60_000, 1_000))
 		r.Inject(subscribePkt(t, "10.0.0.3:5004", 1, 1, 60_000))
-		// Round 0 finds the replay's first packet (bought with its seed
-		// token) parked; round 1 comes after its next token, one a second,
-		// has bought and parked the second.
+		// Round 0 comes just after the replay's first packet left, round 1
+		// half a second after its second.
 		for i, after := range []time.Duration{3 * time.Millisecond, 1500 * time.Millisecond} {
 			data := dataPkt(t, 1, 1, uint64(11+i), 320)
 			sim.Sleep(after)
-			if got := r.Stats(); got.DVRBacklog != int64(i+1) || got.Batches != int64(i) {
-				t.Errorf("round %d: want the replay's packet gathered and still parked: %+v", i, got)
+			if got := r.Stats(); got.DVRBacklog != int64(i+1) || got.FanoutSent != int64(2*i+1) {
+				t.Errorf("round %d: want the replay's packet %d sent, not parked: %+v", i, i+1, got)
 			}
 			injected := sim.Now()
 			r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
@@ -699,13 +705,14 @@ func TestLiveBesideReplayNotHeld(t *testing.T) {
 				name string
 				conn lan.Conn
 				want []byte
-			}{{"live", live, data}, {"replay", replay, recorded[i]}} {
+				sent time.Time
+			}{{"live", live, data, injected}, {"replay", replay, recorded[i], due[i]}} {
 				pkt, ok := recvStream(t, c.conn)
 				if !ok {
 					return
 				}
-				if at := pkt.Recv.Sub(injected); at != flushLatency {
-					t.Errorf("round %d: %s subscriber's packet arrived %v after the live injection, want %v",
+				if at := pkt.Recv.Sub(c.sent); at != flushLatency {
+					t.Errorf("round %d: %s subscriber's packet arrived %v after it was due, want %v",
 						i, c.name, at, flushLatency)
 				}
 				if !bytes.Equal(pkt.Data, c.want) {
@@ -716,33 +723,127 @@ func TestLiveBesideReplayNotHeld(t *testing.T) {
 		st = r.Stats()
 	})
 	sim.WaitIdle()
-	if st.FanoutSent != 4 || st.Batches != 2 || st.DVRBacklog != 2 {
-		t.Fatalf("want two batches of one live and one replayed packet each: %+v", st)
+	if st.FanoutSent != 4 || st.Batches != 4 || st.DVRBacklog != 2 {
+		t.Fatalf("want four batches of one packet each, two live and two replayed: %+v", st)
 	}
-	if st.FlushQuiesce != 2 || st.FlushDeadline != 0 || st.FlushSize != 0 {
-		t.Fatalf("want both flushed because the shard ran dry: %+v", st)
+	if st.FlushQuiesce != 4 || st.FlushDeadline != 0 || st.FlushSize != 0 {
+		t.Fatalf("want every batch flushed because the shard ran dry: %+v", st)
+	}
+}
+
+// simConn is a relay socket on the simulated segment that logs every
+// WriteBatch carrying stream packets — its instant on the simulated
+// clock and its size. With hold set, the first such write blocks on the
+// simulated clock for that long before it sends, the way a full send
+// buffer would. Acks pass straight through.
+type simConn struct {
+	lan.Conn
+	sim  *vclock.Sim
+	hold time.Duration // how long the next stream write stalls
+
+	mu      sync.Mutex
+	batches []loggedBatch
+}
+
+// loggedBatch is one stream WriteBatch a simConn saw.
+type loggedBatch struct {
+	at time.Time
+	n  int
+}
+
+// logBatches puts a simConn in front of r's socket; r must not be running.
+func logBatches(r *Relay, hold time.Duration) *simConn {
+	c := &simConn{Conn: r.conn, sim: r.clock.(*vclock.Sim), hold: hold}
+	r.conn = c
+	return c
+}
+
+func (c *simConn) WriteBatch(dgs []lan.Datagram) (int, error) {
+	if typ, _, _ := proto.PeekType(dgs[0].Data); typ == proto.TypeControl || typ == proto.TypeData {
+		c.mu.Lock()
+		c.batches = append(c.batches, loggedBatch{at: c.sim.Now(), n: len(dgs)})
+		hold := c.hold
+		c.hold = 0
+		c.mu.Unlock()
+		c.sim.Sleep(hold)
+	}
+	return lan.WriteBatch(c.Conn, dgs)
+}
+
+// logged returns the stream batches written so far.
+func (c *simConn) logged() []loggedBatch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.batches)
+}
+
+func TestStaggeredCohortSharesRefillInstants(t *testing.T) {
+	// Eight subscribers join a time shift 1 ms apart, so their replays
+	// start at eight phases. Once each has spent its seed token, every
+	// replay batch carries one packet for each of the eight, and the
+	// batches leave q = 1s/DVRBurst apart, on multiples of q from the
+	// relay's origin: the buckets refill at instants the whole relay
+	// shares, and the pass at each one finds the whole cohort due.
+	const cohort, q = 8, 10 * time.Millisecond
+	sim, _, r := newTestRelay(t, Config{Channel: 1, DVR: true, DVRBurst: 100, Shards: 1})
+	log := logBatches(r, 0)
+	var joined time.Time
+	sim.Go("relay", r.Run)
+	sim.Go("test", func() {
+		defer r.Stop()
+		feedStream(t, r, 1, 3)
+		for i := 1; i <= cohort; i++ {
+			r.Inject(shiftSubPkt(t, lan.Addr(fmt.Sprintf("10.0.1.%d:5004", i)), 1, 1, 60_000, 2_000))
+			sim.Sleep(time.Millisecond)
+		}
+		joined = sim.Now()
+		sim.Sleep(time.Second) // the backlog is two seconds of stream: 21 packets each
+	})
+	sim.WaitIdle()
+	var sizes []int
+	var prev time.Time
+	off := 0 // batches of another size, or at another spacing
+	for _, b := range log.logged() {
+		if b.at.Before(joined) {
+			continue // the seed tokens', one join at a time
+		}
+		if b.n != cohort || b.at.Sub(r.origin)%q != 0 || !prev.IsZero() && b.at.Sub(prev) != q {
+			off++
+		}
+		sizes, prev = append(sizes, b.n), b.at
+	}
+	if off > 0 || len(sizes) < 15 {
+		t.Errorf("%d of the %d replay batches after the joins are not %d packets on the relay's %v grid: sizes %v",
+			off, len(sizes), cohort, q, sizes)
 	}
 }
 
 func TestPartialBatchFlushedOnShutdown(t *testing.T) {
-	// Three replays' first packets are parked behind an hour-long flush
-	// interval — the one kind of batch that waits. Stop must still
-	// deliver it (quiesce flush) before any socket closes: nothing
-	// gathered is lost at shutdown.
-	sim, seg, r := newTestRelay(t, starvedReplayConfig(time.Hour))
+	// Three replays' first packets are gathered into one batch, and its
+	// WriteBatch stalls the way a full send buffer does. Stop must wait
+	// for that send to finish before any socket closes: nothing gathered
+	// is lost at shutdown.
+	const stall = 500 * time.Millisecond // short of the replays' next refill instant
+	sim, seg, r := newTestRelay(t, starvedReplayConfig())
+	sends := logBatches(r, stall)
 	addrs := []lan.Addr{"10.0.0.2:5004", "10.0.0.3:5004", "10.0.0.4:5004"}
 	subs := attachAll(t, seg, addrs...)
 	var parked, st Stats
+	var stalledAt, stopped time.Time
 	got := make([]int, len(subs))
-	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 1)
 		for _, a := range addrs {
 			r.Inject(shiftSubPkt(t, a, 1, 1, 60_000, 1_000))
 		}
-		sim.Sleep(10 * time.Millisecond) // far short of the flush interval
+		// The workers start only now, so that their first pass gathers
+		// all three seed packets.
+		sim.Go("relay", r.Run)
+		stalledAt = sim.Now()
+		sim.Sleep(10 * time.Millisecond) // far short of the stall
 		parked = r.Stats()
 		r.Stop()
+		stopped = sim.Now()
 		st = r.Stats()
 		sim.Sleep(10 * time.Millisecond) // let deliveries land
 		for i, c := range subs {
@@ -759,36 +860,43 @@ func TestPartialBatchFlushedOnShutdown(t *testing.T) {
 		}
 	})
 	sim.WaitIdle()
+	if b := sends.logged(); len(b) != 1 || b[0].n != 3 {
+		t.Fatalf("want one stalled batch of the 3 seed packets, got %+v", b)
+	}
 	if parked.DVRBacklog != 3 || parked.Batches != 0 || parked.FanoutSent != 0 {
 		t.Fatalf("before Stop: want 3 packets gathered and none sent: %+v", parked)
 	}
+	if waited := stopped.Sub(stalledAt); waited < stall {
+		t.Fatalf("Stop returned %v into a %v stalled send", waited, stall)
+	}
 	if st.Batches != 1 || st.FlushQuiesce != 1 || st.FanoutSent != 3 || st.SendErrors != 0 {
-		t.Fatalf("quiesce flush missing or lossy: %+v", st)
+		t.Fatalf("stalled flush missing or lossy: %+v", st)
 	}
 	for i, n := range got {
 		if n != 1 {
-			t.Fatalf("%s received %d of the 1 packet parked for it at shutdown", addrs[i], n)
+			t.Fatalf("%s received %d of the 1 packet in flight for it at shutdown", addrs[i], n)
 		}
 	}
 }
 
 func TestSubscriberExpiringMidBatch(t *testing.T) {
 	// The sweeper removes a subscriber while its packet sits in a
-	// worker's pending batch (a replay's, parked for the flush interval).
-	// The flush must still complete and the accounting stay consistent —
-	// a send to a departed address is just a UDP datagram nobody reads.
-	sim, _, r := newTestRelay(t, starvedReplayConfig(5*time.Second))
+	// worker's batch, inside a WriteBatch that stalls. The flush must
+	// still complete and the accounting stay consistent — a send to a
+	// departed address is just a UDP datagram nobody reads.
+	sim, _, r := newTestRelay(t, starvedReplayConfig())
+	logBatches(r, 5*time.Second)
 	var st Stats
 	var subs int
 	sim.Go("relay", r.Run)
 	sim.Go("test", func() {
 		feedStream(t, r, 1, 1)
 		// The lease (clamped up to MinLease) runs out at 1s and is swept
-		// by 2s; the parked batch deadline-flushes at 5s.
+		// by 2s; the stalled send returns at 5s.
 		r.Inject(shiftSubPkt(t, "10.0.0.2:5004", 1, 1, 1, 1_000))
 		sim.Sleep(4 * time.Second)
-		if mid := r.Stats(); mid.Expired != 1 || mid.Batches != 0 {
-			t.Errorf("want the lease gone with its packet still parked: %+v", mid)
+		if mid := r.Stats(); mid.Expired != 1 || mid.DVRBacklog != 1 || mid.Batches != 0 {
+			t.Errorf("want the lease gone with its packet still in the stalled send: %+v", mid)
 		}
 		sim.Sleep(2 * time.Second)
 		st = r.Stats()
@@ -799,7 +907,7 @@ func TestSubscriberExpiringMidBatch(t *testing.T) {
 	if st.Expired != 1 || subs != 0 {
 		t.Fatalf("subscriber not expired: %d subs, stats %+v", subs, st)
 	}
-	if st.FanoutSent != 1 || st.Batches != 1 || st.FlushDeadline != 1 {
+	if st.FanoutSent != 1 || st.Batches != 1 || st.FlushQuiesce != 1 || st.SendErrors != 0 {
 		t.Fatalf("mid-batch expiry corrupted the flush: %+v", st)
 	}
 }
@@ -808,9 +916,7 @@ func TestFlushSkipsPoisonedDestination(t *testing.T) {
 	// One subscriber whose sends always fail must cost only its own
 	// packets: flush skips the failing datagram and retries the rest of
 	// the batch, so subscribers ordered after it still get everything.
-	sim, _, r := newTestRelay(t, Config{
-		Shards: 1, Batch: 8, FlushInterval: time.Millisecond,
-	})
+	sim, _, r := newTestRelay(t, Config{Shards: 1, Batch: 8})
 	for _, a := range []lan.Addr{"10.0.0.2:5004", "bad-address", "10.0.0.3:5004"} {
 		if !r.subscribe(a, &proto.Subscribe{Channel: 0}, time.Minute) {
 			t.Fatalf("subscribe %s failed", a)
@@ -1008,6 +1114,36 @@ func TestMaxHopsClampedToWireLimit(t *testing.T) {
 	}
 	if st := r.Stats(); st.Loops != 1 {
 		t.Fatalf("loop accounting = %+v", st)
+	}
+}
+
+func TestReplayQuantumNeverZero(t *testing.T) {
+	// refill counts replay tokens in quanta of 1s/DVRBurst, so a rate
+	// above one a nanosecond would make the quantum zero and refill divide
+	// by it. New clamps the rate there, and refill then works to the
+	// nanosecond.
+	for _, tc := range []struct{ burst, want int }{
+		{0, DefaultDVRBurst},
+		{250, 250},
+		{int(time.Second), int(time.Second)},
+		{int(time.Second) + 1, int(time.Second)},
+		{math.MaxInt, int(time.Second)},
+	} {
+		if _, _, r := newTestRelay(t, Config{DVR: true, DVRBurst: tc.burst}); r.cfg.DVRBurst != tc.want {
+			t.Errorf("DVRBurst %d: New kept %d, want %d", tc.burst, r.cfg.DVRBurst, tc.want)
+		}
+	}
+	_, _, r := newTestRelay(t, Config{DVR: true, DVRBurst: math.MaxInt})
+	sub := &subscriber{}
+	if wait := r.refill(sub, r.origin); wait != 0 || sub.tokens != 1 {
+		t.Fatalf("first refill: wait %v with %d tokens, want the seed token now", wait, sub.tokens)
+	}
+	sub.tokens--
+	if wait := r.refill(sub, r.origin); wait != time.Nanosecond {
+		t.Errorf("spent bucket: next token in %v, want 1ns", wait)
+	}
+	if wait := r.refill(sub, r.origin.Add(time.Microsecond)); wait != 0 || sub.tokens != 1000 {
+		t.Errorf("a microsecond on: wait %v with %d tokens, want 1000 tokens now", wait, sub.tokens)
 	}
 }
 
