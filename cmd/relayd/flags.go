@@ -36,7 +36,6 @@ type options struct {
 	ladder          bool
 	ladderDownDrops int
 	ladderDwell     time.Duration
-	gso             bool
 
 	dvr      bool
 	dvrDepth time.Duration
@@ -83,7 +82,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.ladder, "ladder", false, "adaptive quality ladder: transcode congested subscribers down the profile tiers, recover after a clean dwell")
 	fs.IntVar(&o.ladderDownDrops, "ladder-down-drops", relay.DefaultLadderDownDrops, "queue drops per sweep that push a subscriber one ladder tier down (with -ladder)")
 	fs.DurationVar(&o.ladderDwell, "ladder-dwell", relay.DefaultLadderDwell, "drop-free dwell before a downgraded subscriber climbs one tier back (with -ladder)")
-	fs.BoolVar(&o.gso, "gso", false, "UDP_SEGMENT segmentation offload on fan-out sockets (Linux; falls back to sendmmsg where unsupported)")
 	fs.BoolVar(&o.dvr, "dvr", false, "time-shifted delivery: record relayed packets in a bounded ring and serve Subscribe shifts and pause/resume from it")
 	fs.DurationVar(&o.dvrDepth, "dvr-depth", 0, "recorded history, one ring for everything the relay carries (0 = the built-in 30s default; with -dvr)")
 	fs.IntVar(&o.dvrBurst, "dvr-burst", 0, "catch-up delivery rate in packets/s per subscriber (0 = the built-in default; with -dvr)")
@@ -118,7 +116,6 @@ func (o *options) relayConfig(auth security.RelayAuthenticator, upstreamAuth sec
 		Ladder:          o.ladder,
 		LadderDownDrops: o.ladderDownDrops,
 		LadderDwell:     o.ladderDwell,
-		GSO:             o.gso,
 		DVR:             o.dvr,
 		DVRDepth:        o.dvrDepth,
 		DVRBurst:        o.dvrBurst,

@@ -13,18 +13,16 @@
 // The shards write to the -listen socket in parallel, so every datagram
 // the relay sends — acks and data alike — leaves from -listen, the
 // address a NAT or stateful firewall saw the subscriber's Subscribe go
-// to. -gso upgrades the batch write to UDP_SEGMENT
-// segmentation offload where the kernel supports it, and -ladder turns
-// on the adaptive quality ladder: subscribers whose queues drop packets
-// are transcoded down the codec profile tiers (source, ulaw, ovl-high,
-// ovl-low) and climb back after a clean dwell (-ladder-down-drops and
-// -ladder-dwell tune the thresholds). -dvr turns on time-shifted
-// delivery: relayed packets are recorded into one bounded ring
-// (-dvr-depth of history), subscribers may join "from N seconds
-// ago" or pause and resume, and their backlog is replayed at up to
-// -dvr-burst packets/s until they converge on the live stream. See
-// docs/RELAY-OPS.md for the full operator guide, including which MIB
-// counters to watch.
+// to. -ladder turns on the adaptive quality ladder: subscribers whose
+// queues drop packets are transcoded down the codec profile tiers
+// (source, ulaw, ovl-high, ovl-low) and climb back after a clean dwell
+// (-ladder-down-drops and -ladder-dwell tune the thresholds). -dvr
+// turns on time-shifted delivery: relayed packets are recorded into one
+// bounded ring (-dvr-depth of history), subscribers may join "from N
+// seconds ago" or pause and resume, and their backlog is replayed at
+// up to -dvr-burst packets/s until they converge on the live stream.
+// See docs/RELAY-OPS.md for the full operator guide, including which
+// MIB counters to watch.
 //
 // Example — relay the default channel group, serving subscribers on
 // port 5006:

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/vclock"
 )
 
@@ -137,16 +138,18 @@ func (r *Ring) Len() int {
 	return int(r.head - r.tail)
 }
 
-// Clamp resolves a requested time shift to a start cursor. The cursor
-// lands on the oldest entry within the shift, then walks back to the
-// latest Control at or before it so a decoder joining there can lock
-// immediately (tune-in needs a configuration packet first; the walk
-// can deepen the shift by up to one control interval). The granted
-// shift is the age of the entry actually chosen — clamped reports
-// whether that is less history than asked for (the ring's depth or
-// wrap bound bit). A shift nothing in the ring satisfies (quiet
+// Clamp resolves a requested time shift to a start cursor for a reader
+// of channel ch (0 reads every channel). The cursor lands on the oldest
+// entry within the shift, then walks back to the latest Control of ch
+// at or before it so a decoder joining there can lock immediately
+// (tune-in needs its own channel's configuration packet first; the walk
+// can deepen the shift by up to one control interval). An entry's
+// channel is read from its recorded header (proto.PeekType). The
+// granted shift is the age of the entry actually chosen — clamped
+// reports whether that is less history than asked for (the ring's depth
+// or wrap bound bit). A shift nothing in the ring satisfies (quiet
 // channel, empty ring) starts at Head with a zero grant: live.
-func (r *Ring) Clamp(shift time.Duration) (start uint64, granted time.Duration, clamped bool) {
+func (r *Ring) Clamp(shift time.Duration, ch uint32) (start uint64, granted time.Duration, clamped bool) {
 	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -175,12 +178,10 @@ func (r *Ring) Clamp(shift time.Duration) (start uint64, granted time.Duration, 
 	clamped = start == r.tail && r.slots[r.tail%uint64(len(r.slots))].at.After(target)
 	// Walk back to the governing Control so the subscriber can decode
 	// from its first packet.
-	if !r.slots[start%uint64(len(r.slots))].ctl {
-		for i := start; i > r.tail; i-- {
-			if r.slots[(i-1)%uint64(len(r.slots))].ctl {
-				start = i - 1
-				break
-			}
+	for i := start + 1; i > r.tail; i-- {
+		if s := &r.slots[(i-1)%uint64(len(r.slots))]; s.ctl && onChannel(s.buf, ch) {
+			start = i - 1
+			break
 		}
 	}
 	granted = now.Sub(r.slots[start%uint64(len(r.slots))].at)
@@ -188,6 +189,16 @@ func (r *Ring) Clamp(shift time.Duration) (start uint64, granted time.Duration, 
 		granted = 0
 	}
 	return start, granted, clamped
+}
+
+// onChannel reports whether a recorded packet belongs to channel ch
+// (0 matches every channel).
+func onChannel(data []byte, ch uint32) bool {
+	if ch == 0 {
+		return true
+	}
+	_, c, err := proto.PeekType(data)
+	return err == nil && c == ch
 }
 
 // Read copies the entry at idx into buf (grown as needed) and returns

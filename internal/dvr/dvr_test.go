@@ -2,11 +2,13 @@ package dvr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/vclock"
 )
 
@@ -139,7 +141,7 @@ func TestClampFindsShiftAndControl(t *testing.T) {
 	// 100 entries, 100 ms apart; newest is 100 ms old. Ask for 3 s ago:
 	// the time target lands ~30 entries from the end, and the cursor
 	// walks back to the control just before it.
-	start, granted, clamped := r.Clamp(3 * time.Second)
+	start, granted, clamped := r.Clamp(3*time.Second, 0)
 	if clamped {
 		t.Fatalf("Clamp(3s) clamped, ring holds 10s")
 	}
@@ -153,19 +155,65 @@ func TestClampFindsShiftAndControl(t *testing.T) {
 		t.Fatalf("granted %v < requested 3s (walk-back can only deepen)", granted)
 	}
 	// Deeper than the ring: clamp to the oldest entry and say so.
-	start, granted, clamped = r.Clamp(time.Hour)
+	start, granted, clamped = r.Clamp(time.Hour, 0)
 	if !clamped || start != r.Tail() {
 		t.Fatalf("Clamp(1h) = (%d, %v, clamped=%v), want tail %d clamped", start, granted, clamped, r.Tail())
 	}
 	if granted > 11*time.Second {
 		t.Fatalf("Clamp(1h) granted %v, want about the ring's 10s of history", granted)
 	}
+
+	// Two channels in one ring: channel 1's Control each whole second,
+	// channel 2's each half second, data on both every 100 ms. A reader
+	// of one channel walks back to a Control of its own channel; a
+	// reader of every channel (0) stops at the latest Control of any.
+	r = NewRing(clk, time.Minute, 1024)
+	for k := 0; k < 40; k++ {
+		if k%10 == 0 {
+			r.Append(chanPkt(1, true, 8), true)
+		}
+		if k%5 == 0 {
+			r.Append(chanPkt(2, true, 8), true)
+		}
+		r.Append(chanPkt(1, false, 8), false)
+		r.Append(chanPkt(2, false, 8), false)
+		clk.Advance(100 * time.Millisecond)
+	}
+	for _, row := range []struct {
+		ch, wantCh  uint32
+		wantGranted time.Duration
+	}{
+		{ch: 1, wantCh: 1, wantGranted: 2 * time.Second},
+		{ch: 2, wantCh: 2, wantGranted: 1500 * time.Millisecond},
+		{ch: 0, wantCh: 2, wantGranted: 1500 * time.Millisecond},
+	} {
+		start, granted, _ := r.Clamp(1300*time.Millisecond, row.ch)
+		data, _, ctl, _ := r.Read(start, nil)
+		typ, ch, err := proto.PeekType(data)
+		if !ctl || err != nil || typ != proto.TypeControl || ch != row.wantCh || granted != row.wantGranted {
+			t.Errorf("Clamp(1.3s, channel %d) = %v on channel %d granted %v (%v), want a channel-%d Control granted %v",
+				row.ch, typ, ch, granted, err, row.wantCh, row.wantGranted)
+		}
+	}
+}
+
+// chanPkt is a recorded packet of channel ch: the protocol header a
+// Control or Data would carry, then n filler bytes.
+func chanPkt(ch uint32, ctl bool, n int) []byte {
+	typ := proto.TypeData
+	if ctl {
+		typ = proto.TypeControl
+	}
+	b := binary.BigEndian.AppendUint16(nil, proto.Magic)
+	b = append(b, proto.Version, byte(typ))
+	b = binary.BigEndian.AppendUint32(b, ch)
+	return append(b, make([]byte, n)...)
 }
 
 func TestClampQuietChannelStartsLive(t *testing.T) {
 	clk := simClock()
 	r := NewRing(clk, time.Minute, 64)
-	start, granted, clamped := r.Clamp(10 * time.Second)
+	start, granted, clamped := r.Clamp(10*time.Second, 0)
 	if start != r.Head() || granted != 0 || !clamped {
 		t.Fatalf("empty ring Clamp = (%d, %v, %v), want (head, 0, clamped)", start, granted, clamped)
 	}
@@ -173,7 +221,7 @@ func TestClampQuietChannelStartsLive(t *testing.T) {
 	// the channel went quiet. Nothing to replay — start live.
 	r.Append(pkt(0), true)
 	clk.Advance(20 * time.Second)
-	start, granted, clamped = r.Clamp(10 * time.Second)
+	start, granted, clamped = r.Clamp(10*time.Second, 0)
 	if start != r.Head() || granted != 0 || clamped {
 		t.Fatalf("quiet-channel Clamp = (%d, %v, %v), want (head, 0, unclamped)", start, granted, clamped)
 	}

@@ -1,31 +1,15 @@
 package lan
 
-// UDP GSO (UDP_SEGMENT) and recvmmsg support seams. Both are
-// Linux-only fast paths behind portable interfaces: a backend that
-// has them advertises via the interfaces below, every other Conn —
-// the simulated segment included — simply doesn't implement them and
-// callers fall back.
+// The recvmmsg support seam, plus the one GSO entry point the
+// benchmark's lan walk still calls. Batched receive is a Linux-only
+// fast path behind a portable interface: a backend that has it
+// advertises via RecvBatcher, every other Conn — the simulated
+// segment included — simply doesn't implement it and reports nothing.
 
-// GSOCapable is implemented by conns whose BatchWriter fast path can
-// coalesce same-destination runs of a batch into single UDP_SEGMENT
-// sends — the kernel splits one send into many datagrams, so a relay
-// fanning one payload to many subscribers pays even fewer crossings
-// than sendmmsg alone. SetGSO turns the mode on or off and reports
-// whether the backend supports it at all; support is optimistic (the
-// kernel is probed by the first coalesced send, which falls back to
-// plain batching — permanently — if it refuses).
-type GSOCapable interface {
-	SetGSO(on bool) bool
-}
-
-// EnableGSO turns on GSO batching for c when its backend supports it
-// and reports whether it did. Safe to call on any Conn.
-func EnableGSO(c Conn) bool {
-	if g, ok := c.(GSOCapable); ok {
-		return g.SetGSO(true)
-	}
-	return false
-}
+// EnableGSO reports whether c can coalesce same-destination runs into
+// UDP_SEGMENT sends. No backend can; the function stays, always false,
+// because the benchmark's lan walk calls it to label its gso row.
+func EnableGSO(c Conn) bool { return false }
 
 // RecvBatchStats counts a conn's batched-receive activity: how many
 // recvmmsg gather passes ran and how many packets they carried.

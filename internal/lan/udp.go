@@ -53,10 +53,6 @@ type udpConn struct {
 	// rc is sock's raw descriptor, taken once: SyscallConn allocates.
 	rc syscall.RawConn
 
-	// gso, when set, lets the Linux WriteBatch backend coalesce
-	// same-destination runs into UDP_SEGMENT sends; it clears itself
-	// permanently when the kernel refuses the option (see SetGSO).
-	gso atomic.Bool
 	// Batched-receive accounting (recvmmsg passes; Linux only).
 	recvBatches atomic.Int64
 	recvPackets atomic.Int64

@@ -2,7 +2,6 @@ package relay
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -562,22 +561,6 @@ func (r *Relay) shardWorker(sh *shard) {
 	}
 }
 
-// byDest stable-sorts a batch and its owners by destination: a
-// subscriber owed several packets ends up with them adjacent (and,
-// stable, still in FIFO order), which is the run shape the GSO backend
-// coalesces into a single kernel send.
-type byDest struct {
-	dgs    []lan.Datagram
-	owners []*subscriber
-}
-
-func (g byDest) Len() int           { return len(g.dgs) }
-func (g byDest) Less(i, j int) bool { return g.dgs[i].To < g.dgs[j].To }
-func (g byDest) Swap(i, j int) {
-	g.dgs[i], g.dgs[j] = g.dgs[j], g.dgs[i]
-	g.owners[i], g.owners[j] = g.owners[j], g.owners[i]
-}
-
 // flush sends one gathered batch through the relay's socket and settles
 // the accounting. WriteBatch has prefix semantics — datagrams before the
 // first error were handed to the substrate, the rest were not — so on a
@@ -587,9 +570,6 @@ func (g byDest) Swap(i, j int) {
 func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigger flushTrigger) {
 	t0 := time.Now()
 	first, size := dgs[0].To, len(dgs)
-	if r.cfg.GSO {
-		sort.Stable(byDest{dgs: dgs, owners: owners})
-	}
 	var sent, errs int64
 	all := owners
 	for len(dgs) > 0 {
@@ -636,9 +616,9 @@ func (r *Relay) flush(sh *shard, dgs []lan.Datagram, owners []*subscriber, trigg
 // grantShift resolves a Subscribe's requested time shift against the
 // recorded history: the granted shift (the age of the entry the cursor
 // actually landed on — clamped to the ring's depth, walked back to a
-// Control packet so the decoder locks immediately) is stored on the
-// subscriber, echoed in the ack, and — when there is backlog to replay
-// — the cursor is placed there. A request the ring cannot satisfy in
+// Control packet of the lessee's channel so the decoder locks
+// immediately) is stored on the subscriber, echoed in the ack, and —
+// when there is backlog to replay — the cursor is placed there. A request the ring cannot satisfy in
 // full (deeper than the recorded history, or nothing recorded at all) is
 // clamped and counted, as is a wildcard Subscribe on a wildcard relay,
 // which names no stream to be shifted on and is granted live. Caller
@@ -648,7 +628,7 @@ func (r *Relay) grantShift(sh *shard, sub *subscriber, q *request, t *tally) {
 		t.dvrClamped++
 		return
 	}
-	start, granted, clamped := r.seq.ring.Clamp(time.Duration(q.sub.ShiftMs) * time.Millisecond)
+	start, granted, clamped := r.seq.ring.Clamp(time.Duration(q.sub.ShiftMs)*time.Millisecond, sub.channel)
 	if clamped {
 		t.dvrClamped++
 	}

@@ -143,6 +143,51 @@ func TestDVRShiftGrantAndClamp(t *testing.T) {
 	sim.WaitIdle()
 }
 
+// TestDVRShiftStartsAtOwnChannelControl records two channels on a
+// wildcard relay — channel 1's Control each whole second, channel 2's
+// each half second — and shifts a channel-1 lessee 1.3 s back. The
+// cursor must walk back to channel 1's Control at 2 s, not stop at
+// channel 2's at 2.5 s: the lessee's first replayed packet is a Control
+// it can tune in on, and the grant is that Control's age.
+func TestDVRShiftStartsAtOwnChannelControl(t *testing.T) {
+	sim, _, r := newTestRelay(t, Config{Channel: 0, DVR: true, DVRDepth: 10 * time.Second, DVRBurst: 1000})
+	const addr lan.Addr = "10.0.0.2:5004"
+	sim.Go("test", func() {
+		feed := func(data []byte) {
+			r.handlePacket(lan.Packet{From: "10.0.9.9:5004", To: testGroup, Data: data})
+		}
+		for k := uint64(0); k < 40; k++ { // four seconds, 100 ms apart
+			if k%10 == 0 {
+				feed(controlPkt(t, 1, 1))
+			}
+			if k%5 == 0 {
+				feed(controlPkt(t, 2, 1))
+			}
+			feed(dataPkt(t, 1, 1, k+1, 320))
+			feed(dataPkt(t, 2, 1, k+1, 320))
+			sim.Sleep(100 * time.Millisecond)
+		}
+		r.handleRequest(shiftSubPkt(t, addr, 1, 1, 60_000, 1_300))
+		if subs := r.Subscribers(); len(subs) != 1 || subs[0].Shift != 2*time.Second {
+			t.Errorf("1.3s shift on channel 1 = %+v, want granted 2s (channel 1's Control)", subs)
+		}
+		b := &batch{slots: make([][]byte, 32)}
+		for i := 0; i < 50 && len(b.dgs) == 0; i++ {
+			gatherOnce(r, addr, b)
+			sim.Sleep(20 * time.Millisecond)
+		}
+		if len(b.dgs) == 0 {
+			t.Fatal("no backlog served")
+		}
+		typ, ch, err := proto.PeekType(b.dgs[0].Data)
+		if err != nil || typ != proto.TypeControl || ch != 1 {
+			t.Errorf("first replayed packet = %v on channel %d (%v), want a channel-1 Control", typ, ch, err)
+		}
+		drainCatchup(t, r, addr, 500)
+	})
+	sim.WaitIdle()
+}
+
 // TestDVRRingWrapMidCatchupEvicts parks a catch-up cursor, lets the
 // ring age past it, and checks the worker's response: the cursor is
 // re-clamped to the oldest surviving entry (counted as an eviction),

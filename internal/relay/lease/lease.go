@@ -71,11 +71,8 @@ type Subscriber struct {
 	granted time.Duration // lease duration the relay last granted
 	path    func() (hops uint8, pathID uint64)
 	auth    security.Authenticator // signs subscribes, verifies acks; nil = plaintext
-	// profile is the delivery tier requested in every subscribe;
-	// current is the tier the relay's last grant said it actually
-	// serves (the relay's quality ladder may sit below the request).
+	// profile is the delivery tier requested in every subscribe.
 	profile codec.Profile
-	current codec.Profile
 	// shift is the time shift requested in every subscribe ("from this
 	// long ago", served from the relay's DVR ring); curShift is the
 	// shift the relay's last grant said it actually honored, clamped to
@@ -147,16 +144,6 @@ func (s *Subscriber) SetProfile(p codec.Profile) {
 	s.mu.Lock()
 	s.profile = p
 	s.mu.Unlock()
-}
-
-// CurrentProfile returns the tier the relay's most recent grant says
-// it is serving — under ladder pressure that may be a lower rung than
-// the requested profile. It resets on re-targeting and means nothing
-// until the first grant.
-func (s *Subscriber) CurrentProfile() codec.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.current
 }
 
 // SetShift sets the time shift requested by every subsequent subscribe
@@ -400,8 +387,7 @@ func (s *Subscriber) apply(ack *proto.SubAck) (st proto.SubStatus, follow lan.Ad
 		s.stats.Redirects++
 		s.target = next
 		s.granted = 0
-		s.current = 0  // the sibling's ladder starts fresh
-		s.curShift = 0 // and so does its DVR ring
+		s.curShift = 0 // the sibling's DVR ring starts fresh
 		// Acks from the shedding relay (or any earlier target) must not
 		// install a grant against the new one.
 		s.ackFloor = s.seq + 1
@@ -416,11 +402,8 @@ func (s *Subscriber) apply(ack *proto.SubAck) (st proto.SubStatus, follow lan.Ad
 		granted := time.Duration(ack.LeaseMs) * time.Millisecond
 		// Every OK grant extends the wall-clock expiry, even when the
 		// duration is unchanged — that is what a refresh does. The
-		// grant also reports the delivery tier actually served, which
-		// the relay's ladder may have stepped below the request, and
-		// the time shift actually honored, which the relay's DVR ring
-		// may have clamped below it.
-		s.current = codec.Profile(ack.Profile)
+		// grant also reports the time shift actually honored, which the
+		// relay's DVR ring may have clamped below the request.
 		s.curShift = time.Duration(ack.ShiftMs) * time.Millisecond
 		s.expiresWall = time.Now().Add(granted)
 		s.redirects = 0 // landed: a later shed starts a fresh chain

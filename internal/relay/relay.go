@@ -186,11 +186,6 @@ type Config struct {
 	// LadderDownDrops overrides DefaultLadderDownDrops: the per-sweep
 	// queue-drop delta that triggers a downgrade.
 	LadderDownDrops int
-	// GSO enables UDP_SEGMENT coalescing on the relay's socket (where
-	// the backend supports it): the flush sorts each batch by
-	// destination, so a subscriber owed several same-size packets costs
-	// one kernel send instead of several.
-	GSO bool
 	// DVR enables time-shifted delivery: every relayed packet is also
 	// recorded into one bounded ring (internal/dvr) at its index in the
 	// arrival sequence, and a Subscribe carrying a time shift
@@ -632,11 +627,6 @@ func New(clock vclock.Clock, conn lan.Conn, cfg Config) (*Relay, error) {
 		}}
 		sh.work = clock.NewCond()
 		r.shards = append(r.shards, sh)
-	}
-	if cfg.GSO {
-		// Best effort: the portable and simulated backends simply don't
-		// implement the seam and the flush stays plain batches.
-		lan.EnableGSO(conn)
 	}
 	return r, nil
 }
