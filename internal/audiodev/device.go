@@ -29,6 +29,9 @@ const (
 // when the first full block is buffered — and from then on the driver is
 // expected to consume autonomously via FetchBlock/FetchBlockWait until it
 // sees FetchHalted or chooses to stop (reporting so with OutputStopped).
+// The run itself began earlier, when its first write landed (RunStart): a
+// driver that timestamps what it forwards (the VAD) dates the run's first
+// block from then, not from the trigger a block's worth of writes later.
 type HWDriver interface {
 	// Name identifies the driver in diagnostics.
 	Name() string
@@ -90,6 +93,8 @@ type Device struct {
 	// when the block now playing ends on the low-level driver's own
 	// schedule; zero while this run has no such block (see PlayCursor)
 	playEnd time.Time
+	// when the first write of the current run landed (see RunStart)
+	runStart time.Time
 }
 
 // NewDevice returns a closed device wired to clock and low-level driver.
@@ -116,6 +121,7 @@ func (d *Device) Open(p audio.Params) error {
 	d.ring = NewRing(d.blockSize * DefaultRingBlocks)
 	d.stats = Stats{}
 	d.silentRun = 0
+	d.runStart = time.Time{}
 	if err := d.hw.Open(p, d.blockSize); err != nil {
 		return fmt.Errorf("audiodev: low-level open: %w", err)
 	}
@@ -134,7 +140,10 @@ func alignBlock(p audio.Params, n int) int {
 
 // SetBlockSize reconfigures the block size (and rings of DefaultRingBlocks
 // blocks) — the AUDIO_SETINFO blocksize knob the buffer-size experiment
-// sweeps (§3.4). Only allowed while playback is idle.
+// sweeps (§3.4) — and re-opens the low-level driver so it consumes blocks
+// of the new size. Like SetParams, the re-open re-announces the
+// configuration: a VAD slave hands its master a new configuration event.
+// Only allowed while playback is idle.
 func (d *Device) SetBlockSize(n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -149,6 +158,9 @@ func (d *Device) SetBlockSize(n int) error {
 	}
 	d.blockSize = alignBlock(d.params, n)
 	d.ring = NewRing(d.blockSize * DefaultRingBlocks)
+	if err := d.hw.Open(d.params, d.blockSize); err != nil {
+		return fmt.Errorf("audiodev: low-level reopen: %w", err)
+	}
 	return nil
 }
 
@@ -207,6 +219,9 @@ func (d *Device) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		if !d.open {
 			return written, ErrClosed
+		}
+		if !d.triggered && d.ring.Len() == 0 {
+			d.runStart = d.clock.Now()
 		}
 		n := d.ring.Write(p)
 		if n == 0 {
@@ -328,6 +343,15 @@ func (d *Device) FetchBlockWait(buf []byte) (int, FetchStatus) {
 	}
 }
 
+// RunStart returns when the current playback run began: the instant a
+// write landed in an idle, empty device. Writes into a triggered or
+// non-empty device leave it alone; Open and Close reset it to zero.
+func (d *Device) RunStart() time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.runStart
+}
+
 // SilentRun returns the number of consecutive pure-silence blocks the
 // current run has produced; hardware drivers use it to halt output after
 // the stream drains rather than playing silence forever.
@@ -436,6 +460,7 @@ func (d *Device) Close() error {
 	d.open = false
 	d.triggered = false
 	d.inFlight = 0
+	d.runStart = time.Time{}
 	if d.ring != nil {
 		d.ring.Reset()
 	}

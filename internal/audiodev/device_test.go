@@ -518,3 +518,80 @@ func TestDevicePlayCursor(t *testing.T) {
 	})
 	sim.WaitIdle()
 }
+
+func TestSetBlockSizeReachesHardware(t *testing.T) {
+	// The DAC must consume blocks of the size the device was set to, not
+	// the size it was opened with.
+	sim, dev, col := newTestDevice(t)
+	p := audio.Voice
+	dev.Open(p)
+	block := p.BytesFor(10 * time.Millisecond)
+	if err := dev.SetBlockSize(block); err != nil {
+		t.Fatal(err)
+	}
+	sim.Go("writer", func() {
+		dev.Write(make([]byte, block*6))
+		dev.Drain()
+		dev.Close()
+	})
+	sim.WaitIdle()
+	blocks := col.DataBlocks()
+	if len(blocks) != 6 {
+		t.Fatalf("played %d data blocks, want 6", len(blocks))
+	}
+	for i, b := range blocks {
+		if len(b.Data) != block {
+			t.Fatalf("block %d is %d B, want %d", i, len(b.Data), block)
+		}
+		if i > 0 {
+			if gap := b.Time.Sub(blocks[i-1].Time); gap != 10*time.Millisecond {
+				t.Fatalf("gap %d = %v, want 10ms", i, gap)
+			}
+		}
+	}
+}
+
+func TestDeviceRunStart(t *testing.T) {
+	// A run starts when a write lands in an idle, empty device; writes
+	// into a running or non-empty device leave it; Close and Open reset
+	// it.
+	sim, dev, _ := newTestDevice(t)
+	p := audio.Voice
+	dev.Open(p)
+	if !dev.RunStart().IsZero() {
+		t.Fatal("run start set before any write")
+	}
+	chunk := make([]byte, p.BytesFor(10*time.Millisecond))
+	origin := sim.Now()
+	var after [6]time.Time
+	var closed, reopened, rewrite time.Time
+	sim.Go("writer", func() {
+		for i := range after {
+			sim.Sleep(10 * time.Millisecond)
+			dev.Write(chunk) // the fifth completes a block: trigger
+			after[i] = dev.RunStart()
+		}
+		dev.Close()
+		closed = dev.RunStart()
+		sim.Sleep(time.Second)
+		dev.Open(p)
+		reopened = dev.RunStart()
+		sim.Sleep(10 * time.Millisecond)
+		dev.Write(chunk)
+		rewrite = dev.RunStart()
+		dev.Close()
+	})
+	sim.WaitIdle()
+	first := origin.Add(10 * time.Millisecond)
+	for i, at := range after {
+		if !at.Equal(first) {
+			t.Fatalf("after write %d: run start %v, want the first write at %v", i, at.Sub(origin), first.Sub(origin))
+		}
+	}
+	if !closed.IsZero() || !reopened.IsZero() {
+		t.Fatalf("run start after Close %v, after Open %v: want zero", closed, reopened)
+	}
+	if want := origin.Add(1070 * time.Millisecond); !rewrite.Equal(want) {
+		t.Fatalf("new run starts at %v, want %v", rewrite.Sub(origin), want.Sub(origin))
+	}
+}

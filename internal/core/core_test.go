@@ -392,6 +392,7 @@ func TestEndToEndCatalog(t *testing.T) {
 	})
 	// The producer tasks run until shut down; wait only for the
 	// listener, then stop everything.
+	sys.Sim.Start()
 	<-done
 	sys.Shutdown()
 	sys.Sim.WaitIdle()

@@ -119,8 +119,11 @@ type Rebroadcaster struct {
 	params    audio.Params
 	codecName string
 	enc       codec.Encoder
-	playhead  time.Time // stream position in producer local time
-	stopped   bool
+	// playhead is the stream position in producer local time: where the
+	// next chunk's audio sits on the timeline, from the capture time of
+	// the run's first block (see transmitChunk).
+	playhead time.Time
+	stopped  bool
 }
 
 // New creates a rebroadcaster transmitting on cfg.Group via conn.
@@ -286,6 +289,15 @@ func (r *Rebroadcaster) handleData(blk vad.Block) {
 	if enc == nil {
 		return // data before any configuration: undecodable, drop
 	}
+	// A live writer on the audio clock fills a block in less than the
+	// block's own duration, so a block dated earlier than that was not
+	// written live (the application paused part-way through it): its
+	// capture time would start the timeline in the past, and the stream
+	// starts at real time instead.
+	captured := blk.Time
+	if r.clock.Now().Sub(captured) > blk.Params.Duration(len(blk.Data)) {
+		captured = time.Time{}
+	}
 
 	stream, err := enc.Encode(blk.Data)
 	if err != nil {
@@ -309,21 +321,29 @@ func (r *Rebroadcaster) handleData(blk vad.Block) {
 		if err != nil {
 			continue
 		}
-		r.transmitChunk(epoch, chunk, dur)
+		r.transmitChunk(epoch, chunk, dur, captured)
 	}
 }
 
 // transmitChunk applies the rate limiter and sends one data packet. The
 // playhead tracks where the stream is in producer time: each chunk is
 // stamped to play at playhead+Lead, and the producer sleeps so it never
-// runs ahead of real time (§3.1).
-func (r *Rebroadcaster) transmitChunk(epoch uint32, payload []byte, dur time.Duration) {
+// runs ahead of real time (§3.1). captured is when the chunk's block was
+// captured (vad.Block.Time, no older than the block's duration), or zero
+// if unknown.
+func (r *Rebroadcaster) transmitChunk(epoch uint32, payload []byte, dur time.Duration, captured time.Time) {
 	now := r.clock.Now()
 	r.mu.Lock()
 	if r.playhead.IsZero() || r.playhead.Before(now.Add(-time.Second)) {
 		// Stream start (or a long gap, e.g. the app paused): restart the
-		// playhead at real time.
+		// playhead where this audio entered the device — for a live
+		// run's first block, when the application's first write landed,
+		// so its frames play Lead after they were written rather than a
+		// VAD block later — or at real time when that is unknown.
 		r.playhead = now
+		if !captured.IsZero() {
+			r.playhead = captured
+		}
 	}
 	playAt := int64(r.playhead.Sub(r.start)) + int64(r.cfg.Lead)
 	// The stream may run Preroll ahead of real time (initial burst to
@@ -376,7 +396,7 @@ func (r *Rebroadcaster) flush() {
 		if err != nil {
 			continue
 		}
-		r.transmitChunk(epoch, chunk, dur)
+		r.transmitChunk(epoch, chunk, dur, time.Time{})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/audio"
+	"repro/internal/audiodev"
 	"repro/internal/codec"
 	"repro/internal/lan"
 	"repro/internal/proto"
@@ -80,6 +81,34 @@ func TestCodecPolicy(t *testing.T) {
 // multicast packets.
 func runChannel(t *testing.T, cfg Config, p audio.Params, clip time.Duration) ([]lan.Packet, Stats) {
 	t.Helper()
+	pkts, st, _ := runProducer(t, cfg, func(_ *vclock.Sim, slave *audiodev.Device) {
+		if err := slave.Open(p); err != nil {
+			t.Error(err)
+			return
+		}
+		total := p.BytesFor(clip)
+		tone := audio.NewTone(p.SampleRate, p.Channels, 440, 0.5)
+		buf := make([]int16, 2048*p.Channels)
+		written := 0
+		for written < total {
+			n, _ := tone.ReadSamples(buf)
+			raw := audio.Encode(p, buf[:n])
+			if written+len(raw) > total {
+				raw = raw[:total-written]
+			}
+			slave.Write(raw)
+			written += len(raw)
+		}
+		slave.Drain()
+	})
+	return pkts, st
+}
+
+// runProducer runs a rebroadcaster on a VAD whose slave play drives, then
+// closes the VAD, and returns the multicast packets, the producer's
+// accounting and its clock epoch (what PlayAt counts from).
+func runProducer(t *testing.T, cfg Config, play func(sim *vclock.Sim, slave *audiodev.Device)) ([]lan.Packet, Stats, time.Time) {
+	t.Helper()
 	sim := vclock.NewSim(time.Time{})
 	seg := lan.NewSegment(sim, lan.SegmentConfig{})
 	conn, err := seg.Attach("10.0.0.1:5000")
@@ -110,30 +139,12 @@ func runChannel(t *testing.T, cfg Config, p audio.Params, clip time.Duration) ([
 		r.Run(v.Master())
 	})
 	sim.Go("player", func() {
-		slave := v.Slave()
-		if err := slave.Open(p); err != nil {
-			t.Error(err)
-			return
-		}
-		total := p.BytesFor(clip)
-		tone := audio.NewTone(p.SampleRate, p.Channels, 440, 0.5)
-		buf := make([]int16, 2048*p.Channels)
-		written := 0
-		for written < total {
-			n, _ := tone.ReadSamples(buf)
-			raw := audio.Encode(p, buf[:n])
-			if written+len(raw) > total {
-				raw = raw[:total-written]
-			}
-			slave.Write(raw)
-			written += len(raw)
-		}
-		slave.Drain()
+		play(sim, v.Slave())
 		v.Close()
 		// The capture task winds the run down via its receive timeout.
 	})
 	sim.WaitIdle()
-	return pkts, r.Stats()
+	return pkts, r.Stats(), r.start
 }
 
 func TestControlCadenceAndContent(t *testing.T) {
@@ -393,5 +404,219 @@ func TestSleepToNextKeepsCadence(t *testing.T) {
 	}
 	if span := turns[100].Sub(turns[51]); span != 49*interval+over {
 		t.Fatalf("49 turns after the overrun spanned %v, want %v", span, 49*interval+over)
+	}
+}
+
+// liveChunk is how much audio a live writer hands the VAD at a time.
+const liveChunk = 10 * time.Millisecond
+
+// writeLive plays the application that writes on the audio clock: a
+// liveChunk of p every liveChunk for dur. It returns when each chunk was
+// written.
+func writeLive(sim *vclock.Sim, slave *audiodev.Device, p audio.Params, dur time.Duration) []time.Time {
+	chunk := make([]byte, p.BytesFor(liveChunk))
+	var at []time.Time
+	for i := time.Duration(0); i < dur; i += liveChunk {
+		at = append(at, sim.Now())
+		slave.Write(chunk)
+		sim.Sleep(liveChunk)
+	}
+	return at
+}
+
+// checkLivePlayAt asserts that every data packet is stamped to play
+// exactly DefaultLead after the live chunk its audio starts in was
+// written: writes lists the chunks' write times across every run, in
+// order, and start is the producer's clock epoch.
+func checkLivePlayAt(t *testing.T, pkts []lan.Packet, start time.Time, p audio.Params, writes []time.Time) {
+	t.Helper()
+	var offset time.Duration
+	n := 0
+	for _, pkt := range pkts {
+		if typ, _, _ := proto.PeekType(pkt.Data); typ != proto.TypeData {
+			continue
+		}
+		d, err := proto.UnmarshalData(pkt.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := int(offset / liveChunk)
+		if i >= len(writes) {
+			t.Fatalf("packet %d starts at %v of audio, past the %d chunks written", n, offset, len(writes))
+		}
+		want := int64(writes[i].Sub(start) + DefaultLead)
+		if d.PlayAt != want {
+			t.Fatalf("packet %d (audio from %v, chunk %d): PlayAt %v, want the chunk's write + lead = %v",
+				n, offset, i, time.Duration(d.PlayAt), time.Duration(want))
+		}
+		offset += p.Duration(len(d.Payload))
+		n++
+	}
+	if want := time.Duration(len(writes)) * liveChunk; offset != want {
+		t.Fatalf("%v of audio stamped, want the %v written", offset, want)
+	}
+}
+
+func TestLivePlayheadStartsAtFirstWrite(t *testing.T) {
+	// A live writer's first block leaves the VAD only once a whole block
+	// (50 ms) is buffered, four chunks after its first write. The stream's
+	// timeline still starts at that first write: its first frame plays
+	// Lead after it was written, and so does every later one.
+	cfg := Config{ID: 1, Group: "239.1.1.1:5004", Codec: "raw"}
+	p := audio.Voice
+	var writes []time.Time
+	pkts, _, start := runProducer(t, cfg, func(sim *vclock.Sim, slave *audiodev.Device) {
+		slave.Open(p)
+		sim.Sleep(30 * time.Millisecond)
+		writes = writeLive(sim, slave, p, time.Second)
+		slave.Drain()
+	})
+	checkLivePlayAt(t, pkts, start, p, writes)
+}
+
+func TestBlastPlayheadStartsAtWrite(t *testing.T) {
+	// A writer that hands over a whole clip at once fills a block with its
+	// first write: the run starts and the VAD triggers at the same instant,
+	// and the timeline starts there.
+	cfg := Config{ID: 1, Group: "239.1.1.1:5004", Codec: "raw"}
+	p := audio.Voice
+	pkts, _, _ := runProducer(t, cfg, func(sim *vclock.Sim, slave *audiodev.Device) {
+		slave.Open(p)
+		sim.Sleep(30 * time.Millisecond)
+		slave.Write(make([]byte, p.BytesFor(time.Second)))
+		slave.Drain()
+	})
+	for _, pkt := range pkts {
+		if typ, _, _ := proto.PeekType(pkt.Data); typ != proto.TypeData {
+			continue
+		}
+		d, err := proto.UnmarshalData(pkt.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 30*time.Millisecond + DefaultLead; time.Duration(d.PlayAt) != want {
+			t.Fatalf("first PlayAt %v after the producer started, want %v", time.Duration(d.PlayAt), want)
+		}
+		return
+	}
+	t.Fatal("no data packets")
+}
+
+func TestLivePlayheadRestartsWithRun(t *testing.T) {
+	// A second run's timeline starts at its own first write, whether the
+	// application closed and reopened the slave between songs or only
+	// stopped writing for longer than the playhead's one-second gap.
+	p := audio.Voice
+	for _, tc := range []struct {
+		name   string
+		reopen bool
+		pause  time.Duration
+	}{
+		{"reopen", true, 200 * time.Millisecond},
+		{"pause", false, 1500 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{ID: 1, Group: "239.1.1.1:5004", Codec: "raw"}
+			var writes []time.Time
+			pkts, st, start := runProducer(t, cfg, func(sim *vclock.Sim, slave *audiodev.Device) {
+				slave.Open(p)
+				writes = writeLive(sim, slave, p, 300*time.Millisecond)
+				slave.Drain()
+				if tc.reopen {
+					slave.Close()
+				}
+				sim.Sleep(tc.pause)
+				if tc.reopen {
+					slave.Open(p)
+				}
+				writes = append(writes, writeLive(sim, slave, p, 300*time.Millisecond)...)
+				slave.Drain()
+			})
+			if tc.reopen && st.Reconfigs != 2 {
+				t.Fatalf("%d stream epochs, want 2", st.Reconfigs)
+			}
+			checkLivePlayAt(t, pkts, start, p, writes)
+		})
+	}
+}
+
+func TestPausedFirstBlockStartsAtRealTime(t *testing.T) {
+	// An application that writes less than a block, pauses, then writes
+	// live dates its first block from a write long before the block
+	// leaves. That date must not start the timeline: every packet still
+	// plays at least Lead less one block after it is sent, as it did
+	// before the timeline started at the first write.
+	cfg := Config{ID: 1, Group: "239.1.1.1:5004", Codec: "raw"}
+	p := audio.Voice
+	block := p.Duration(p.BytesFor(audiodev.DefaultBlockMillis * time.Millisecond))
+	pkts, _, start := runProducer(t, cfg, func(sim *vclock.Sim, slave *audiodev.Device) {
+		slave.Open(p)
+		slave.Write(make([]byte, p.BytesFor(20*time.Millisecond)))
+		sim.Sleep(500 * time.Millisecond)
+		writeLive(sim, slave, p, time.Second)
+		slave.Drain()
+	})
+	n := 0
+	for _, pkt := range pkts {
+		if typ, _, _ := proto.PeekType(pkt.Data); typ != proto.TypeData {
+			continue
+		}
+		d, err := proto.UnmarshalData(pkt.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := pkt.Sent.Sub(start) + DefaultLead - block; time.Duration(d.PlayAt) < floor {
+			t.Fatalf("packet %d sent at %v: PlayAt %v, want at least %v",
+				n, pkt.Sent.Sub(start), time.Duration(d.PlayAt), floor)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no data packets")
+	}
+}
+
+// discardConn is a lan.Conn whose sends go nowhere.
+type discardConn struct{}
+
+func (discardConn) LocalAddr() lan.Addr                    { return "10.0.0.1:5000" }
+func (discardConn) Send(lan.Addr, []byte) error            { return nil }
+func (discardConn) Recv(time.Duration) (lan.Packet, error) { return lan.Packet{}, lan.ErrClosed }
+func (discardConn) Join(lan.Addr) error                    { return nil }
+func (discardConn) Leave(lan.Addr) error                   { return nil }
+func (discardConn) Close() error                           { return nil }
+
+// BenchmarkProducerPacket prices the producer's per-packet path: one
+// 10 ms CD-quality VAD block (what a live writer's chunk becomes) through
+// encode, packetize, Data marshal and send, on a conn that discards. The
+// rate limiter is off, so no sleep is timed.
+func BenchmarkProducerPacket(b *testing.B) {
+	p := audio.CDQuality
+	tone := audio.NewTone(p.SampleRate, p.Channels, 440, 0.5)
+	samples := make([]int16, p.SampleRate/100*p.Channels)
+	tone.ReadSamples(samples)
+	data := audio.Encode(p, samples)
+	for _, name := range []string{"raw", "ovl"} {
+		b.Run(name, func(b *testing.B) {
+			sim := vclock.NewSim(time.Time{})
+			r, err := New(sim, discardConn{}, Config{ID: 1, Group: "239.1.1.1:5004", Codec: name, DisableRateLimit: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.reconfigure(p)
+			blk := vad.Block{Params: p, Data: data}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.Seq = int64(i)
+				r.handleData(blk)
+			}
+			b.StopTimer()
+			if st := r.Stats(); st.EncodeErrors != 0 || st.SendErrors != 0 || st.DataPackets == 0 {
+				b.Fatalf("stats %+v", st)
+			}
+			b.ReportMetric(float64(r.Stats().DataPackets)/float64(b.N), "pkts/op")
+		})
 	}
 }

@@ -28,8 +28,13 @@ const (
 // a configuration update (§2.1.2 — the reason a named pipe cannot
 // replace the audio device).
 type Block struct {
-	Seq    int64        // monotonically increasing event number
-	Time   time.Time    // capture time
+	Seq int64 // monotonically increasing event number
+	// Time is the capture time: for the first data block of a playback
+	// run, when the run's first write landed in the slave
+	// (audiodev.Device.RunStart), so a live writer's timeline starts at
+	// its first frame rather than a block's worth of writes later; for
+	// every other event, when the driver emitted it.
+	Time   time.Time
 	Params audio.Params // configuration in effect
 	Config bool         // true: configuration event (Data is nil)
 	Data   []byte       // raw audio bytes in Params' encoding
@@ -139,6 +144,9 @@ func (d *driver) TriggerOutput(dev *audiodev.Device) error {
 	mode := d.cfg.Mode
 	send := d.cfg.KernelSend
 	d.mu.Unlock()
+	// The run's first block is dated from the run's first write; later
+	// ones from when they are forwarded.
+	at := dev.RunStart()
 
 	if mode == ModeNaive {
 		// The §3.3 failure mode: the high-level driver believes we set up
@@ -147,7 +155,7 @@ func (d *driver) TriggerOutput(dev *audiodev.Device) error {
 		buf := make([]byte, dev.BlockSize())
 		n, st := dev.FetchBlock(buf, time.Time{})
 		if st == audiodev.FetchData {
-			d.forward(params, buf[:n], send)
+			d.forward(params, buf[:n], send, at)
 		}
 		return nil
 	}
@@ -170,20 +178,25 @@ func (d *driver) TriggerOutput(dev *audiodev.Device) error {
 				dev.OutputStopped()
 				return
 			}
-			d.forward(params, buf[:n], send)
+			d.forward(params, buf[:n], send, at)
+			at = time.Time{}
 			dev.BlockDone()
 		}
 	})
 	return nil
 }
 
-// forward delivers one data block according to the streaming mode.
-func (d *driver) forward(params audio.Params, data []byte, send func(Block)) {
+// forward delivers one data block according to the streaming mode,
+// stamped with at, or with the clock when at is zero.
+func (d *driver) forward(params audio.Params, data []byte, send func(Block), at time.Time) {
+	if at.IsZero() {
+		at = d.clock.Now()
+	}
 	d.mu.Lock()
 	d.seq++
 	blk := Block{
 		Seq:    d.seq,
-		Time:   d.clock.Now(),
+		Time:   at,
 		Params: params,
 		Data:   append([]byte(nil), data...),
 	}

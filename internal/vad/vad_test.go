@@ -88,6 +88,45 @@ func TestVADSetParamsEmitsConfigEvent(t *testing.T) {
 	}
 }
 
+func TestVADSetBlockSizeEmitsConfigEvent(t *testing.T) {
+	// SetBlockSize re-opens the low-level driver, which re-announces the
+	// configuration, and the blocks forwarded after it have the new size.
+	sim := vclock.NewSim(time.Time{})
+	v := New(sim, Config{})
+	slave, master := v.Slave(), v.Master()
+	block := audio.CDQuality.BytesFor(10 * time.Millisecond)
+	sim.Go("app", func() {
+		slave.Open(audio.CDQuality)
+		if err := slave.SetBlockSize(block); err != nil {
+			t.Error(err)
+		}
+		slave.Write(make([]byte, block*3))
+		slave.Drain()
+		v.Close()
+	})
+	configs, data := 0, 0
+	sim.Go("reader", func() {
+		for {
+			b, ok := master.ReadBlock()
+			if !ok {
+				return
+			}
+			if b.Config {
+				configs++
+				continue
+			}
+			data++
+			if len(b.Data) != block {
+				t.Errorf("data block of %d B, want %d", len(b.Data), block)
+			}
+		}
+	})
+	sim.WaitIdle()
+	if configs != 2 || data != 3 {
+		t.Fatalf("got %d config and %d data events, want 2 and 3", configs, data)
+	}
+}
+
 func TestVADNoRateLimit(t *testing.T) {
 	// §3.1: with no hardware behind it, the VAD consumes a five-minute
 	// song at wire speed — virtually no simulated time passes.

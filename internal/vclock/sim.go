@@ -19,11 +19,18 @@ import (
 // Sim also counts "context switches" — task wakeups dispatched by the
 // scheduler — which stand in for the vmstat context-switch rate the paper
 // reports in Figure 5.
+//
+// Time holds still for the goroutine that created the Sim until it lets
+// go, with WaitIdle or Start: until then it counts as a runnable task, so
+// a task it spawns cannot block, find nobody else runnable and jump the
+// clock to its timeout before the creator has spawned the task it waits
+// for.
 type Sim struct {
 	mu       sync.Mutex
 	now      time.Time
 	timers   timerHeap
 	seq      int64
+	held     bool  // the creator still counts as runnable (see Start)
 	runnable int   // tasks currently executing (not blocked in this clock)
 	tasks    int   // live tasks
 	switches int64 // cumulative task wakeups
@@ -48,9 +55,28 @@ func NewSim(start time.Time) *Sim {
 	if start.IsZero() {
 		start = time.Date(2005, time.April, 10, 12, 0, 0, 0, time.UTC)
 	}
-	s := &Sim{now: start}
+	s := &Sim{now: start, held: true, runnable: 1}
 	s.done = sync.NewCond(&s.mu)
 	return s
+}
+
+// Start lets simulated time run: the creator stops counting as a
+// runnable task. WaitIdle does this itself; a creator that first waits on
+// something else (a channel its tasks close, a recover from a strict-mode
+// panic) calls Start before it does. Later calls do nothing.
+func (s *Sim) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.startLocked()
+}
+
+func (s *Sim) startLocked() {
+	if !s.held {
+		return
+	}
+	s.held = false
+	s.runnable--
+	s.advanceWhileIdleLocked()
 }
 
 var _ Clock = (*Sim)(nil)
@@ -135,10 +161,11 @@ func (s *Sim) AfterFunc(d time.Duration, name string, fn func()) {
 }
 
 // WaitIdle blocks the caller (which must NOT be a tracked task) until all
-// tracked tasks have finished.
+// tracked tasks have finished, starting the clock first (see Start).
 func (s *Sim) WaitIdle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.startLocked()
 	for s.tasks > 0 {
 		s.done.Wait()
 	}

@@ -23,6 +23,66 @@ func TestSimSleepAdvancesTime(t *testing.T) {
 	}
 }
 
+func TestSimHoldsTimeForCreator(t *testing.T) {
+	// A task that blocks with a timeout before its creator has spawned the
+	// task it waits for must not see the clock jump to that timeout: the
+	// creator counts as runnable until WaitIdle.
+	s := NewSim(time.Time{})
+	start := s.Now()
+	var mu sync.Mutex
+	cond := s.NewCond()
+	ready, timedOut := false, false
+	s.Go("waiter", func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for !ready {
+			if !cond.WaitTimeout(&mu, time.Second) {
+				timedOut = true
+				return
+			}
+		}
+	})
+	time.Sleep(20 * time.Millisecond) // the waiter blocks first
+	s.Go("signaller", func() {
+		mu.Lock()
+		ready = true
+		cond.Signal()
+		mu.Unlock()
+	})
+	s.WaitIdle()
+	if timedOut {
+		t.Fatalf("waiter timed out at +%v before the signaller was spawned", s.Since(start))
+	}
+	if got := s.Since(start); got != 0 {
+		t.Fatalf("clock advanced %v, want 0", got)
+	}
+}
+
+func TestSimStartReleasesCreator(t *testing.T) {
+	// Start lets time run without WaitIdle, and a second Start or a later
+	// WaitIdle does not release the creator twice.
+	s := NewSim(time.Time{})
+	start := s.Now()
+	s.Start()
+	s.Start()
+	done := make(chan struct{})
+	s.Go("sleeper", func() {
+		s.Sleep(time.Second)
+		close(done)
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("time did not run after Start")
+	}
+	s.WaitIdle()
+	s.Go("again", func() { s.Sleep(time.Second) })
+	s.WaitIdle()
+	if got := s.Since(start); got != 2*time.Second {
+		t.Fatalf("clock advanced %v, want 2s", got)
+	}
+}
+
 func TestSimZeroSleepReturnsImmediately(t *testing.T) {
 	s := NewSim(time.Time{})
 	start := s.Now()
@@ -243,6 +303,10 @@ func TestSimSwitchesCounted(t *testing.T) {
 func TestSimStrictDeadlockPanics(t *testing.T) {
 	s := NewSim(time.Time{})
 	s.SetStrict(true)
+	// The test waits on the task's recover, not on WaitIdle, so it lets
+	// the clock run itself; before the task exists, so the deadlock is
+	// found by the task that blocks.
+	s.Start()
 	panicked := make(chan interface{}, 1)
 	var mu sync.Mutex
 	cond := s.NewCond()
